@@ -13,9 +13,8 @@ from .grid import (BinaryGrid, Cell, CountRecord, MixedParityError,
 from .gf2poly import (IndexOutOfRangeError, LaurentPoly2, NonlinearRuleError,
                       PolyPair, fib_addition_split, fib_poly_eval,
                       fib_poly_naive, grid_to_poly, lucas_poly_eval,
-                      poly_add, poly_from_text, poly_mul, poly_pow_2k,
-                      poly_square, poly_to_grid, poly_to_text, state_poly_at,
-                      transition_poly)
+                      poly_from_text, poly_to_grid, poly_to_text,
+                      state_poly_at, transition_poly)
 from .rules import (LIFT_NAMES, Rule, evolve, first_order_step, parse_rule,
                     second_order_inverse, second_order_step,
                     trajectory_counts)

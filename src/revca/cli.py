@@ -100,6 +100,8 @@ def _sequence_columns(method: str, n_max: int) -> dict[str, list[int]]:
 
 def cmd_sequence(args: argparse.Namespace) -> int:
     n_max = args.max
+    if n_max < 0:
+        raise ValueError(f"--max {n_max} gives an empty table")
     if args.check:
         ref = _sequence_columns("recursive", n_max)
         for method in ("alt", "sim", "poly"):

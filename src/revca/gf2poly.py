@@ -1,22 +1,18 @@
-"""Sparse two-variable Laurent polynomials over GF(2).
+"""Two-variable Laurent polynomials over GF(2) and the closed-form state.
 
-A polynomial is its support: a frozenset of exponent pairs (e_x, e_y) with
-possibly negative exponents; every present coefficient is 1.  Addition is
-symmetric difference, multiplication is set convolution with mod-2
-cancellation, and squaring doubles every exponent (freshman's dream).
-
-The transition multipliers of the two linear rules, Fibonacci/Lucas
-polynomial evaluation with a doubling ladder, and the grid <-> polynomial
-bijection live here as well; together they give the closed-form state of a
-linear lift at any step without simulating.
+A polynomial is a :class:`~revca.grid.BinaryGrid`: cell (i, j) is the
+monomial x^i y^j, so ``LaurentPoly2`` is another name for that class and
+the grid <-> polynomial maps are identities.  The transition multipliers
+of the two linear rules and Fibonacci/Lucas polynomial evaluation with a
+doubling ladder live here; together they give the state of a linear lift
+at any step without simulating.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .grid import BinaryGrid
+from .grid import BinaryGrid, _from_text, _to_text
 from .rules import Rule
 
 
@@ -28,82 +24,13 @@ class IndexOutOfRangeError(ValueError):
     """Index outside the domain of a recursion or decomposition."""
 
 
-class LaurentPoly2:
-    """Immutable GF(2) Laurent polynomial in x, y, stored as its support."""
-
-    __slots__ = ("support",)
-
-    def __init__(self, terms: Iterable[tuple[int, int]] = ()):
-        object.__setattr__(self, "support", frozenset(terms))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly2 is immutable")
-
-    def __add__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        return LaurentPoly2(self.support ^ other.support)
-
-    def __mul__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        if len(self.support) > len(other.support):
-            self, other = other, self
-        acc: Counter = Counter()
-        for (ax, ay) in self.support:
-            for (bx, by) in other.support:
-                acc[(ax + bx, ay + by)] += 1
-        return LaurentPoly2(e for e, c in acc.items() if c & 1)
-
-    def square(self) -> "LaurentPoly2":
-        """p^2 over GF(2): every exponent pair doubles, no cross terms."""
-        return LaurentPoly2((2 * ex, 2 * ey) for ex, ey in self.support)
-
-    def pow_2k(self, k: int) -> "LaurentPoly2":
-        """p raised to the 2^k-th power by k squarings."""
-        if k < 0:
-            raise ValueError("k must be nonnegative")
-        p = self
-        for _ in range(k):
-            p = p.square()
-        return p
-
-    def shift_exponents(self, dx: int, dy: int) -> "LaurentPoly2":
-        """Multiply by the monomial x^dx y^dy."""
-        return LaurentPoly2((ex + dx, ey + dy) for ex, ey in self.support)
-
-    def __len__(self) -> int:
-        return len(self.support)
-
-    def __bool__(self) -> bool:
-        return bool(self.support)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentPoly2):
-            return NotImplemented
-        return self.support == other.support
-
-    def __hash__(self) -> int:
-        return hash(self.support)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly2({sorted(self.support)!r})"
-
-
+LaurentPoly2 = BinaryGrid
 ZERO = LaurentPoly2()
 ONE = LaurentPoly2([(0, 0)])
 
 
-def poly_add(p: LaurentPoly2, q: LaurentPoly2) -> LaurentPoly2:
-    return p + q
-
-
-def poly_mul(p: LaurentPoly2, q: LaurentPoly2) -> LaurentPoly2:
-    return p * q
-
-
-def poly_square(p: LaurentPoly2) -> LaurentPoly2:
-    return p.square()
-
-
-def poly_pow_2k(p: LaurentPoly2, k: int) -> LaurentPoly2:
-    return p.pow_2k(k)
+_TRANSITION = {Rule.C1: LaurentPoly2([(-1, -1), (1, -1), (-1, 1), (1, 1)]),
+               Rule.C2: LaurentPoly2([(-1, 0), (1, 0), (0, -1), (0, 1)])}
 
 
 def transition_poly(rule: Rule) -> LaurentPoly2:
@@ -112,11 +39,9 @@ def transition_poly(rule: Rule) -> LaurentPoly2:
     C1: (x^-1 + x)(y^-1 + y); C2: x^-1 + x + y^-1 + y.  C3 and C3' are
     nonlinear and raise :class:`NonlinearRuleError`.
     """
-    if rule is Rule.C1:
-        return LaurentPoly2([(-1, -1), (1, -1), (-1, 1), (1, 1)])
-    if rule is Rule.C2:
-        return LaurentPoly2([(-1, 0), (1, 0), (0, -1), (0, 1)])
-    raise NonlinearRuleError(f"{rule.value} has no transition polynomial")
+    if rule not in _TRANSITION:
+        raise NonlinearRuleError(f"{rule.value} has no transition polynomial")
+    return _TRANSITION[rule]
 
 
 def fib_poly_naive(T: LaurentPoly2, k: int) -> LaurentPoly2:
@@ -195,31 +120,17 @@ def state_poly_at(rule: Rule, n: int) -> PolyPair:
 
 def grid_to_poly(g: BinaryGrid) -> LaurentPoly2:
     """Characteristic polynomial: occupied cell (i, j) -> monomial x^i y^j."""
-    return LaurentPoly2(g.cells())
+    return g
 
 
 def poly_to_grid(p: LaurentPoly2) -> BinaryGrid:
-    return BinaryGrid(p.support)
+    return p
 
-
-# --- text interchange format ------------------------------------------------
 
 def poly_to_text(p: LaurentPoly2) -> str:
     """Serialize: header '#lpoly v1 terms=N', then sorted 'e_x e_y' lines."""
-    lines = [f"#lpoly v1 terms={len(p)}"]
-    lines.extend(f"{ex} {ey}" for ex, ey in sorted(p.support))
-    return "\n".join(lines) + "\n"
+    return _to_text(p, "#lpoly", "terms")
 
 
 def poly_from_text(text: str) -> LaurentPoly2:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#lpoly v1"):
-        raise ValueError("missing '#lpoly v1' header")
-    terms = []
-    for ln in lines[1:]:
-        ex, ey = ln.split()
-        terms.append((int(ex), int(ey)))
-    declared = int(lines[0].split("terms=")[1])
-    if declared != len(terms):
-        raise ValueError(f"header terms={declared} but {len(terms)} terms")
-    return LaurentPoly2(terms)
+    return _from_text(text, "#lpoly", "terms")

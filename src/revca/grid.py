@@ -1,10 +1,14 @@
 """Exact two-state and four-state configurations on the unbounded integer lattice.
 
 A configuration is a finite set of occupied cells (i, j) with arbitrary
-signed coordinates.  Internally a :class:`BinaryGrid` keeps a dense uint8
-window cropped to the tight bounding box (axis 0 is i, axis 1 is j), so
-stepping and counting are vectorized; the sparse cell set is the canonical
-interchange form and the basis for equality and hashing.
+signed coordinates.  A :class:`BinaryGrid` keeps it as a dense uint8 window
+cropped to the tight bounding box (axis 0 is i, axis 1 is j), so stepping,
+counting and equality are vectorized.
+
+The same set is a GF(2) Laurent polynomial in x, y: cell (i, j) is the
+monomial x^i y^j.  ``+`` is xor, ``*`` is the mod-2 product and
+``square`` doubles every exponent, so the closed-form algebra of the
+linear rules runs on the same windows as the simulation.
 
 A four-state configuration is an ordered pair of binary grids: the cell
 value is  current + 2 * previous,  so values 0..3 encode which of the two
@@ -32,52 +36,42 @@ class BinaryGrid:
 
     def __init__(self, cells: Iterable[Cell] = ()):
         cells = list(cells)
-        if not cells:
-            self._a = np.zeros((0, 0), dtype=np.uint8)
-            self._imin = 0
-            self._jmin = 0
-            return
-        ii = np.fromiter((c[0] for c in cells), dtype=np.int64, count=len(cells))
-        jj = np.fromiter((c[1] for c in cells), dtype=np.int64, count=len(cells))
-        self._init_from_indices(ii, jj)
+        self._fill(np.fromiter((c[0] for c in cells), np.int64, len(cells)),
+                   np.fromiter((c[1] for c in cells), np.int64, len(cells)))
 
-    def _init_from_indices(self, ii: np.ndarray, jj: np.ndarray) -> None:
+    def _fill(self, ii: np.ndarray, jj: np.ndarray) -> None:
+        if len(ii) == 0:
+            self._a, self._imin, self._jmin = np.zeros((0, 0), np.uint8), 0, 0
+            return
         imin, jmin = int(ii.min()), int(jj.min())
         a = np.zeros((int(ii.max()) - imin + 1, int(jj.max()) - jmin + 1),
                      dtype=np.uint8)
         a[ii - imin, jj - jmin] = 1
-        self._a = a
-        self._imin = imin
-        self._jmin = jmin
+        self._a, self._imin, self._jmin = a, imin, jmin
+
+    @classmethod
+    def _tight(cls, a: np.ndarray, imin: int, jmin: int) -> "BinaryGrid":
+        """Wrap a window whose bounding box is already tight and nonempty."""
+        g = cls.__new__(cls)
+        g._a, g._imin, g._jmin = a, imin, jmin
+        return g
 
     @classmethod
     def from_window(cls, a: np.ndarray, imin: int, jmin: int) -> "BinaryGrid":
         """Build from a dense 0/1 window; crops to the tight bounding box."""
-        g = cls.__new__(cls)
-        rows = a.any(axis=1)
+        rows, cols = a.any(axis=1), a.any(axis=0)
         if not rows.any():
-            g._a = np.zeros((0, 0), dtype=np.uint8)
-            g._imin = 0
-            g._jmin = 0
-            return g
-        cols = a.any(axis=0)
-        r0, r1 = np.flatnonzero(rows)[[0, -1]]
-        c0, c1 = np.flatnonzero(cols)[[0, -1]]
-        g._a = np.ascontiguousarray(a[r0:r1 + 1, c0:c1 + 1], dtype=np.uint8)
-        g._imin = imin + int(r0)
-        g._jmin = jmin + int(c0)
-        return g
+            return cls()
+        # argmax of a boolean array is its first True
+        r0, r1 = int(rows.argmax()), len(rows) - int(rows[::-1].argmax())
+        c0, c1 = int(cols.argmax()), len(cols) - int(cols[::-1].argmax())
+        return cls._tight(np.ascontiguousarray(a[r0:r1, c0:c1], dtype=np.uint8),
+                          imin + r0, jmin + c0)
 
     @classmethod
     def from_index_arrays(cls, ii: np.ndarray, jj: np.ndarray) -> "BinaryGrid":
         g = cls.__new__(cls)
-        if len(ii) == 0:
-            g._a = np.zeros((0, 0), dtype=np.uint8)
-            g._imin = 0
-            g._jmin = 0
-        else:
-            g._init_from_indices(np.asarray(ii, dtype=np.int64),
-                                 np.asarray(jj, dtype=np.int64))
+        g._fill(np.asarray(ii, dtype=np.int64), np.asarray(jj, dtype=np.int64))
         return g
 
     @property
@@ -100,7 +94,7 @@ class BinaryGrid:
                 self._jmin, self._jmin + self._a.shape[1] - 1)
 
     def index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Occupied coordinates as parallel (i, j) integer arrays."""
+        """Occupied coordinates as parallel (i, j) arrays in sorted order."""
         ri, rj = np.nonzero(self._a)
         return ri.astype(np.int64) + self._imin, rj.astype(np.int64) + self._jmin
 
@@ -108,8 +102,57 @@ class BinaryGrid:
         ii, jj = self.index_arrays()
         return frozenset(zip(ii.tolist(), jj.tolist()))
 
+    @property
+    def support(self) -> frozenset[Cell]:
+        """The exponent pairs (e_x, e_y) of the polynomial: its cells."""
+        return self.cells()
+
+    # --- GF(2) Laurent-polynomial algebra: cell (i, j) is x^i y^j ----------
+
+    def __add__(self, other: "BinaryGrid") -> "BinaryGrid":
+        return xor(self, other)
+
+    def __mul__(self, other: "BinaryGrid") -> "BinaryGrid":
+        """Mod-2 product: one shifted copy of the larger window per term of
+        the smaller factor, xored together.
+
+        GF(2)[x^±1, y^±1] has no zero divisors, so each extreme row and
+        column of the product is a product of nonzero extreme rows or
+        columns: the summed window is already tight and needs no crop.
+        """
+        small, big = sorted((self, other), key=len)
+        if not small:
+            return small
+        (sh, sw), (bh, bw) = small._a.shape, big._a.shape
+        out = np.zeros((sh + bh - 1, sw + bw - 1), dtype=np.uint8)
+        rr, cc = np.nonzero(small._a)
+        for r, c in zip(rr.tolist(), cc.tolist()):
+            out[r:r + bh, c:c + bw] ^= big._a
+        return BinaryGrid._tight(out, small._imin + big._imin,
+                                 small._jmin + big._jmin)
+
+    def square(self) -> "BinaryGrid":
+        """p^2 over GF(2): every exponent pair doubles, no cross terms."""
+        return self.pow_2k(1)
+
+    def pow_2k(self, k: int) -> "BinaryGrid":
+        """p^(2^k): the window scattered at stride 2^k, origin times 2^k."""
+        if k < 0:
+            raise ValueError("k must be nonnegative")
+        if not self:
+            return self
+        d = 1 << k
+        h, w = self._a.shape
+        out = np.zeros(((h - 1) * d + 1, (w - 1) * d + 1), dtype=np.uint8)
+        out[::d, ::d] = self._a
+        return BinaryGrid._tight(out, self._imin * d, self._jmin * d)
+
+    def shift_exponents(self, dx: int, dy: int) -> "BinaryGrid":
+        """Multiply by the monomial x^dx y^dy."""
+        return shift(self, dx, dy)
+
     def __len__(self) -> int:
-        return int(self._a.sum())
+        return int(np.count_nonzero(self._a))
 
     def __bool__(self) -> bool:
         return self._a.size > 0
@@ -163,11 +206,7 @@ def shift(g: BinaryGrid, dx: int, dy: int) -> BinaryGrid:
     """Translate every cell (i, j) to (i + dx, j + dy)."""
     if not g:
         return g
-    out = BinaryGrid.__new__(BinaryGrid)
-    out._a = g._a
-    out._imin = g._imin + dx
-    out._jmin = g._jmin + dy
-    return out
+    return BinaryGrid._tight(g._a, g._imin + dx, g._jmin + dy)
 
 
 def diagonal_embed(g: BinaryGrid, parity: str = "even") -> BinaryGrid:
@@ -255,23 +294,52 @@ def count_values(s: SecondOrderState, n: int = 0) -> CountRecord:
 
 
 # --- text interchange format ------------------------------------------------
+# '#bgrid v1 count=N' and '#lpoly v1 terms=N' share one layout: the header,
+# then one 'i j' line per cell in sorted order.
 
-def grid_to_text(g: BinaryGrid) -> str:
-    """Serialize: header '#bgrid v1 count=N', then sorted 'i j' lines."""
-    lines = [f"#bgrid v1 count={len(g)}"]
-    lines.extend(f"{i} {j}" for i, j in sorted(g.cells()))
+def _to_text(g: BinaryGrid, tag: str, key: str) -> str:
+    ii, jj = g.index_arrays()  # row-major, i.e. sorted (i, j) order
+    lines = [f"{tag} v1 {key}={len(ii)}"]
+    lines.extend(f"{i} {j}" for i, j in zip(ii.tolist(), jj.tolist()))
     return "\n".join(lines) + "\n"
 
 
-def grid_from_text(text: str) -> BinaryGrid:
+#: largest bounding box, in cells, that a parsed block may span (256 MiB)
+MAX_PARSED_WINDOW = 1 << 28
+
+
+def _from_text(text: str, tag: str, key: str) -> BinaryGrid:
+    """Strict parser: ValueError on any malformed header or cell line."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#bgrid v1"):
-        raise ValueError("missing '#bgrid v1' header")
-    cells = []
-    for ln in lines[1:]:
-        i, j = ln.split()
-        cells.append((int(i), int(j)))
-    declared = lines[0].split("count=")[1]
-    if int(declared) != len(cells):
-        raise ValueError(f"header count={declared} but {len(cells)} cells")
-    return BinaryGrid(cells)
+    head = lines[0].split() if lines else []
+    if head[:2] != [tag, "v1"]:
+        raise ValueError(f"missing '{tag} v1' header")
+    if len(head) != 3 or not head[2].startswith(f"{key}="):
+        raise ValueError(f"'{tag} v1' header needs exactly '{key}=N'")
+    body = lines[1:]
+    try:
+        declared = int(head[2][len(key) + 1:])
+        if any(len(ln.split()) != 2 for ln in body):
+            raise ValueError
+        ij = np.array(" ".join(body).split(), dtype=np.int64).reshape(-1, 2)
+    except (ValueError, OverflowError):
+        raise ValueError(f"malformed '{tag} v1' block: {key} must be an "
+                         f"integer and each line two integers 'i j'") from None
+    area = np.prod(np.ptp(ij.astype(float), axis=0) + 1) if len(ij) else 0
+    if area > MAX_PARSED_WINDOW:
+        raise ValueError(f"'{tag} v1' block spans more than "
+                         f"{MAX_PARSED_WINDOW} cells")
+    g = BinaryGrid.from_index_arrays(ij[:, 0], ij[:, 1])
+    if not declared == len(body) == len(g):
+        raise ValueError(f"header {key}={declared} but {len(body)} lines "
+                         f"holding {len(g)} distinct cells")
+    return g
+
+
+def grid_to_text(g: BinaryGrid) -> str:
+    """Serialize: header '#bgrid v1 count=N', then sorted 'i j' lines."""
+    return _to_text(g, "#bgrid", "count")
+
+
+def grid_from_text(text: str) -> BinaryGrid:
+    return _from_text(text, "#bgrid", "count")

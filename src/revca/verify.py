@@ -19,8 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import sequences as seq
-from .gf2poly import (PolyPair, fib_poly_eval, grid_to_poly, poly_to_grid,
-                      state_poly_at, transition_poly)
+from .gf2poly import PolyPair, fib_poly_eval, state_poly_at, transition_poly
 from .grid import (BinaryGrid, SecondOrderState, count_values,
                    diagonal_extract, shift, single_seed, swap_x, xor)
 from .rules import (Rule, StepFn, first_order_step, second_order_inverse,
@@ -183,8 +182,7 @@ def suite_polynomial(n_max: int = 128) -> SuiteReport:
             if n:
                 s = second_order_step(rule, s)
             pp = state_poly_at(rule, n)
-            if (poly_to_grid(pp.first) != s.current
-                    or poly_to_grid(pp.second) != s.previous):
+            if pp.first != s.current or pp.second != s.previous:
                 return _fail(name, rng,
                              f"rule={rule.value} n={n}: polynomial state "
                              f"differs from simulation")
@@ -222,14 +220,10 @@ def _five_pattern_witness(T1, k: int, j: int) -> str | None:
     central = fib_poly_eval(T1, d - j)
     parts = [fj.shift_exponents(sx * d, sy * d)
              for sx in (-1, 1) for sy in (-1, 1)] + [central]
-    union = frozenset()
-    total = 0
-    for p in parts:
-        union |= p.support
-        total += len(p)
-    if total != len(union):
+    combined = sum(parts, BinaryGrid())  # + is xor: overlaps cancel
+    if sum(len(p) for p in parts) != len(combined):
         return f"n=2^{k}+{j}: five-pattern supports overlap"
-    if union != fib_poly_eval(T1, d + j).support:
+    if combined != fib_poly_eval(T1, d + j):
         return f"n=2^{k}+{j}: five-pattern union != f_n"
     return None
 
@@ -376,8 +370,12 @@ SUITES = {
 
 
 def run_suite(name: str, limit: int | None = None) -> SuiteReport:
+    """Run one suite; a negative ``limit`` is an empty range and raises."""
     fn, default = SUITES[name]
-    return fn(default if limit is None else limit)
+    limit = default if limit is None else limit
+    if limit < 0:
+        raise ValueError(f"suite {name}: limit {limit} gives an empty range")
+    return fn(limit)
 
 
 def run_all(limit: int | None = None) -> list[SuiteReport]:

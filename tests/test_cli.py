@@ -130,6 +130,28 @@ def test_usage_error_exit_2(capsys):
     assert main(["simulate", "--rule", "R9", "--steps", "1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "diamond", "--max", "-1"),
+    ("verify", "--suite", "polynomial", "--max", "-5"),
+    ("verify", "--suite", "all", "--max", "-1"),
+    ("sequence", "--max", "-3"),
+])
+def test_empty_range_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "empty" in err
+
+
+def test_load_header_without_count_exit_2(tmp_path, capsys):
+    st = tmp_path / "state.txt"
+    st.write_text("#bgrid v1\n0 0\n#bgrid v1 count=0\n")
+    code, out, err = run(capsys, "simulate", "--rule", "R1", "--steps", "1",
+                         "--load", str(st))
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
 def test_io_error_exit_1(capsys):
     code = main(["simulate", "--rule", "R1", "--steps", "1",
                  "--out", "/nonexistent-dir/x.txt"])

@@ -124,3 +124,47 @@ def test_text_errors():
         grid_from_text("1 2\n")
     with pytest.raises(ValueError):
         grid_from_text("#bgrid v1 count=2\n1 2\n")
+
+
+@pytest.mark.parametrize("text", [
+    "#bgrid v1\n1 2\n",                 # no count=
+    "#bgrid v1 size=1\n1 2\n",          # wrong key
+    "#bgrid v1 count=x\n1 2\n",         # non-integer count
+    "#bgrid v1 count=1 extra\n1 2\n",   # trailing header field
+    "#bgrid v2 count=1\n1 2\n",         # unknown version
+    "#bgrid v1 count=1\n1 2 3\n",       # three fields
+    "#bgrid v1 count=1\n1\n",           # one field
+    "#bgrid v1 count=1\n1 b\n",         # non-integer coordinate
+    "#bgrid v1 count=2\n1 2\n1 2\n",    # duplicate cell
+    "#bgrid v1 count=2\n0 0\n99999 99999\n",  # window past the cap
+    "#bgrid v1 count=1\n99999999999999999999 0\n",  # past int64
+])
+def test_text_malformed_is_value_error(text):
+    with pytest.raises(ValueError):
+        grid_from_text(text)
+
+
+text_tokens = st.sampled_from(["count=0", "count=1", "count=2", "count=x", "0",
+                               "-1", "7", "x", "1.5", "", "99999999999999999999"])
+token_lines = st.lists(text_tokens, max_size=3).map(" ".join)
+text_blocks = st.builds(
+    lambda head, body: "\n".join(["#bgrid v1 " + head, *body]),
+    token_lines, st.lists(token_lines, max_size=4))
+
+
+@given(text_blocks)
+def test_text_parser_fuzz(text):
+    # any input either parses to a grid that round-trips or is a ValueError
+    try:
+        g = grid_from_text(text)
+    except ValueError:
+        return
+    assert grid_from_text(grid_to_text(g)) == g
+
+
+@given(grids)
+def test_text_lines_are_sorted_cells(g):
+    lines = grid_to_text(g).splitlines()
+    assert lines[0] == f"#bgrid v1 count={len(g)}"
+    assert lines[1:] == [f"{i} {j}" for i, j in sorted(g.cells())]
+    assert grid_from_text(grid_to_text(g)) == g

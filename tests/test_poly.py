@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +18,20 @@ XR = LaurentPoly2([(-1, 0), (1, 0)])  # x^-1 + x
 polys = st.frozensets(
     st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=20
 ).map(LaurentPoly2)
+# thin strips far from the origin, so the two factors of a product differ
+# in window shape and origin
+strips = st.builds(
+    lambda cells, dx, dy: LaurentPoly2((i + dx, j + dy) for i, j in cells),
+    st.frozensets(st.tuples(st.integers(0, 2), st.integers(0, 15)),
+                  max_size=12),
+    st.integers(-40, 40), st.integers(-40, 40))
+
+
+def sparse_product(p, q):
+    """Independent oracle: convolution of the supports, kept mod 2."""
+    acc = Counter((ax + bx, ay + by)
+                  for ax, ay in p.support for bx, by in q.support)
+    return frozenset(e for e, c in acc.items() if c & 1)
 
 
 def test_add():
@@ -46,6 +62,18 @@ def test_square_equals_self_product(p):
 @given(polys, polys)
 def test_freshmans_dream(p, q):
     assert (p + q).square() == p.square() + q.square()
+
+
+@given(st.one_of(polys, strips), st.one_of(polys, strips),
+       st.integers(0, 3))
+def test_products_match_sparse_oracle(p, q, k):
+    # == on grids also checks that each result window is tightly cropped
+    assert p * q == q * p == LaurentPoly2(sparse_product(p, q))
+    assert p.square() == LaurentPoly2(sparse_product(p, p))
+    want = p
+    for _ in range(k):
+        want = LaurentPoly2(sparse_product(want, want))
+    assert p.pow_2k(k) == want
 
 
 def test_pow_2k():
@@ -188,6 +216,23 @@ def test_poly_text_round_trip():
     assert poly_from_text(text) == p
     with pytest.raises(ValueError):
         poly_from_text("0 0\n")
+
+
+def test_poly_text_is_sorted_and_shared_with_grid():
+    p = state_poly_at(Rule.C1, 6).first
+    lines = poly_to_text(p).splitlines()
+    assert lines[1:] == [f"{i} {j}" for i, j in sorted(p.support)]
+    assert poly_from_text(poly_to_text(p)) == p
+    with pytest.raises(ValueError):
+        poly_from_text("#lpoly v1\n0 0\n")  # no terms=
+    with pytest.raises(ValueError):
+        poly_from_text("#bgrid v1 count=1\n0 0\n")  # the other format
+
+
+def test_polynomial_is_a_grid():
+    assert LaurentPoly2 is BinaryGrid
+    g = BinaryGrid([(2, -1), (0, 0)])
+    assert grid_to_poly(g) is g and poly_to_grid(g) is g
 
 
 # --- integer-coefficient Fibonacci/Lucas oracle ------------------------------
