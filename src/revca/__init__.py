@@ -19,7 +19,7 @@ from .rules import (LIFT_NAMES, Rule, evolve, first_order_step, parse_rule,
                     second_order_inverse, second_order_step,
                     trajectory_counts)
 from .sequences import (RelationViolationError, SeqId, SequenceTable,
-                        binary_weight, build_table, clear_cache,
+                        binary_weight, build_table,
                         linear_count, seq_value, seq_value_alt)
 from .verify import SuiteReport, run_all, run_suite
 

@@ -271,25 +271,21 @@ def swap_x(s: SecondOrderState) -> SecondOrderState:
 
 
 def count_values(s: SecondOrderState, n: int = 0) -> CountRecord:
-    """Tally cells of value 1, 2, 3 in a state; ``n`` is caller-supplied."""
+    """Tally cells of value 1, 2, 3 in a state; ``n`` is caller-supplied.
+
+    Value-3 cells lie in both components, so only the overlap of the two
+    bounding boxes is compared; an empty grid has an empty box.
+    """
     cur, prev = s.current, s.previous
-    if not cur and not prev:
-        return CountRecord(n, 0, 0, 0, 0)
-    if not cur or not prev:
-        r1, r2 = len(cur), len(prev)
-        return CountRecord(n, r1, r2, 0, r1 + r2)
-    ci0, ci1, cj0, cj1 = cur.bounds()
-    pi0, pi1, pj0, pj1 = prev.bounds()
-    i0, j0 = min(ci0, pi0), min(cj0, pj0)
-    shape = (max(ci1, pi1) - i0 + 1, max(cj1, pj1) - j0 + 1)
-    c = np.zeros(shape, dtype=np.uint8)
-    p = np.zeros(shape, dtype=np.uint8)
+    (ci, cj), (pi, pj) = cur.origin, prev.origin
     cw, pw = cur.window, prev.window
-    c[ci0 - i0:ci0 - i0 + cw.shape[0], cj0 - j0:cj0 - j0 + cw.shape[1]] = cw
-    p[pi0 - i0:pi0 - i0 + pw.shape[0], pj0 - j0:pj0 - j0 + pw.shape[1]] = pw
-    r3 = int((c & p).sum())
-    r1 = int(c.sum()) - r3
-    r2 = int(p.sum()) - r3
+    i0, i1 = max(ci, pi), min(ci + cw.shape[0], pi + pw.shape[0])
+    j0, j1 = max(cj, pj), min(cj + cw.shape[1], pj + pw.shape[1])
+    r3 = 0
+    if i0 < i1 and j0 < j1:
+        r3 = int(np.count_nonzero(cw[i0 - ci:i1 - ci, j0 - cj:j1 - cj]
+                                  & pw[i0 - pi:i1 - pi, j0 - pj:j1 - pj]))
+    r1, r2 = len(cur) - r3, len(prev) - r3
     return CountRecord(n, r1, r2, r3, r1 + r2 + r3)
 
 

@@ -2,17 +2,21 @@
 
 R(n) is the number of nonzero cells at step n of any of the four lifts
 started from the single seed; R1 and R2 count cells of value 1 and 2.
-The power-of-two splitting recursions give any term in O(log n) recursive
-steps with a shared memo cache, so indices around 2^60 stay cheap; this is
-the fast-path counterpart of full simulation.
 
 Cross-relations: R2(n+1) = R1(n); R(n) = R2(n) + R2(n+1);
 R(n) = R1(2n) = R2(2n+1).
 
-All arithmetic is plain Python integers, so large indices never overflow.
-The memo caches are plain dicts mutated under the GIL: individual lookups
-and stores are atomic and values are immutable once written, so concurrent
-queries are safe (a race at worst recomputes the same value).
+The fast path is a memo-free ladder over the bits of n.  R2 obeys Stern's
+diatomic recurrence R2(2m) = 4 R2(m), R2(2m+1) = R2(m) + R2(m+1), so the
+pair (R2(n), R2(n+1)) follows from the bits of n, most significant first
+(Dijkstra's *fusc*, EWD570/EWD578), and the other two sequences follow
+from the cross-relations.  A term costs one step per bit, so indices
+around 2^200 stay cheap, and the module keeps no state between calls.
+
+The paper's power-of-two splitting recursion, with a memo that lives for
+one call, is kept as ``seq_value_alt``: an independent cross-check of the
+ladder.  All arithmetic is plain Python integers, so large indices never
+overflow.
 """
 
 from __future__ import annotations
@@ -54,59 +58,21 @@ def linear_count(dim: str, k: int) -> int:
     raise ValueError(f"dim must be 'one' or 'two', got {dim!r}")
 
 
-_memo_r: dict[int, int] = {0: 1}
-_memo_r1: dict[int, int] = {-1: 0, 0: 1}
-_memo_r2: dict[int, int] = {0: 0, 1: 1}
-
-
-def clear_cache() -> None:
-    """Drop memoized values (used for cold-start timing)."""
-    _memo_r.clear()
-    _memo_r.update({0: 1})
-    _memo_r1.clear()
-    _memo_r1.update({-1: 0, 0: 1})
-    _memo_r2.clear()
-    _memo_r2.update({0: 0, 1: 1})
-
-
-def _split(n: int) -> tuple[int, int]:
-    """n = 2^k + j with the largest power 2^k <= n; returns (k, j)."""
-    k = n.bit_length() - 1
-    return k, n - (1 << k)
-
-
-def _r(n: int) -> int:
-    v = _memo_r.get(n)
-    if v is None:
-        k, j = _split(n)  # R(2^k + j) = 4 R(j) + R(2^k - j - 1)
-        v = 4 * _r(j) + _r((1 << k) - j - 1)
-        _memo_r[n] = v
-    return v
-
-
-def _r1(n: int) -> int:
-    v = _memo_r1.get(n)
-    if v is None:
-        k, j = _split(n)  # R1(2^k + j) = 4 R1(j) + R1(2^k - j - 2)
-        v = 4 * _r1(j) + _r1((1 << k) - j - 2)
-        _memo_r1[n] = v
-    return v
-
-
-def _r2(n: int) -> int:
-    v = _memo_r2.get(n)
-    if v is None:
-        k, j = _split(n)
-        if j == 0:  # n = 2^k: resplit as 2^{k-1} + 2^{k-1} (j = 0 is circular)
-            k, j = k - 1, 1 << (k - 1)
-        # R2(2^k + j) = 4 R2(j) + R2(2^k - j), 0 < j <= 2^k
-        v = 4 * _r2(j) + _r2((1 << k) - j)
-        _memo_r2[n] = v
-    return v
+def _r2_pair(n: int) -> tuple[int, int]:
+    """(R2(n), R2(n+1)) for n >= 0 from the bits of n, most significant first."""
+    a, b = 0, 1  # (R2(0), R2(1))
+    for bit in bin(n)[2:]:
+        if bit == "1":  # m -> 2m+1: (R2(m) + R2(m+1), 4 R2(m+1))
+            a += b
+            b <<= 2
+        else:           # m -> 2m: (4 R2(m), R2(m) + R2(m+1))
+            b += a
+            a <<= 2
+    return a, b
 
 
 def seq_value(which: SeqId, n: int) -> int:
-    """Sequence term by the power-of-two splitting recursion.
+    """Sequence term by the binary ladder.
 
     Domains: R and R2 need n >= 0; R1 allows n >= -1 (the step before the
     seed exists because the automata are reversible, and R1(-1) = 0).
@@ -114,49 +80,40 @@ def seq_value(which: SeqId, n: int) -> int:
     if which is SeqId.R1:
         if n < -1:
             raise IndexOutOfRangeError(f"R1 needs n >= -1, got {n}")
-        return _r1(n)
+        return _r2_pair(n + 1)[0]  # R1(n) = R2(n + 1)
     if n < 0:
         raise IndexOutOfRangeError(f"{which.value} needs n >= 0, got {n}")
-    return _r(n) if which is SeqId.R else _r2(n)
-
-
-_memo_alt1: dict[int, int] = {0: 1, 1: 4}
-_memo_alt2: dict[int, int] = {0: 0, 1: 1}
-
-
-def _alt1(n: int) -> int:
-    v = _memo_alt1.get(n)
-    if v is None:
-        if n & 1:  # R1(2m + 1) = 4 R1(m)
-            v = 4 * _alt1(n >> 1)
-        else:      # R1(2m + 2) = R1(m) + R1(m + 1)
-            m = (n - 2) >> 1
-            v = _alt1(m) + _alt1(m + 1)
-        _memo_alt1[n] = v
-    return v
-
-
-def _alt2(n: int) -> int:
-    v = _memo_alt2.get(n)
-    if v is None:
-        if n & 1:  # R2(2m + 1) = R2(m) + R2(m + 1)
-            m = n >> 1
-            v = _alt2(m) + _alt2(m + 1)
-        else:      # R2(2m) = 4 R2(m)
-            v = 4 * _alt2(n >> 1)
-        _memo_alt2[n] = v
-    return v
+    r2, r1 = _r2_pair(n)
+    return r2 + r1 if which is SeqId.R else r2
 
 
 def seq_value_alt(which: SeqId, n: int) -> int:
-    """R1 or R2 by the parity-split recursion; agrees with seq_value."""
+    """R1 or R2 by the power-of-two splitting recursion; agrees with seq_value.
+
+    R1(2^k + j) = 4 R1(j) + R1(2^k - j - 2) for 0 <= j < 2^k, and
+    R2(2^k + j) = 4 R2(j) + R2(2^k - j) for 0 < j <= 2^k.  Each call
+    evaluates O(log n) distinct terms and memoizes them for itself only.
+    """
     if n < 0:
         raise IndexOutOfRangeError(f"alt recursion needs n >= 0, got {n}")
     if which is SeqId.R1:
-        return _alt1(n)
-    if which is SeqId.R2:
-        return _alt2(n)
-    raise ValueError("alt recursion is defined for R1 and R2 only")
+        memo, back = {-1: 0, 0: 1}, 2
+    elif which is SeqId.R2:
+        memo, back = {0: 0, 1: 1}, 0
+    else:
+        raise ValueError("alt recursion is defined for R1 and R2 only")
+
+    def term(m: int) -> int:
+        v = memo.get(m)
+        if v is None:
+            k = m.bit_length() - 1
+            j = m - (1 << k)
+            if back == 0 and j == 0:  # R2(2^k): resplit as 2^{k-1} + 2^{k-1}
+                k, j = k - 1, 1 << (k - 1)
+            v = memo[m] = 4 * term(j) + term((1 << k) - j - back)
+        return v
+
+    return term(n)
 
 
 class SequenceTable:
@@ -191,12 +148,14 @@ def build_table(n_max: int) -> SequenceTable:
         raise ValueError("n_max must be nonnegative")
     rows = []
     for n in range(n_max + 1):
-        r, r1, r2 = _r(n), _r1(n), _r2(n)
-        if _r2(n + 1) != r1:
+        r, r1, r2 = (seq_value(w, n) for w in SeqId)
+        r2_next = seq_value(SeqId.R2, n + 1)
+        if r2_next != r1:
             raise RelationViolationError(f"R2({n + 1}) != R1({n})")
-        if r != r2 + _r2(n + 1):
+        if r != r2 + r2_next:
             raise RelationViolationError(f"R({n}) != R2({n}) + R2({n + 1})")
-        if r != _r1(2 * n) or r != _r2(2 * n + 1):
+        if (r != seq_value(SeqId.R1, 2 * n)
+                or r != seq_value(SeqId.R2, 2 * n + 1)):
             raise RelationViolationError(f"R({n}) != R1({2 * n}) = R2({2 * n + 1})")
         rows.append((n, r, r1, r2))
     return SequenceTable(rows)

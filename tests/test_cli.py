@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from revca import sequences
 from revca.cli import main, state_from_text, state_to_text
 from revca.grid import single_seed
 from revca.rules import Rule, evolve
@@ -81,6 +82,20 @@ def test_sequence_check_and_methods_agree(capsys):
     assert code == 0
 
 
+def test_sequence_check_mismatch_exit_3(capsys, monkeypatch):
+    good = sequences.seq_value_alt
+
+    def off_by_one(which, n):
+        wrong = which is sequences.SeqId.R1 and n == 17
+        return good(which, n) + (1 if wrong else 0)
+
+    monkeypatch.setattr(sequences, "seq_value_alt", off_by_one)
+    code, out, err = run(capsys, "sequence", "--max", "40", "--check")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("mismatch: R1(17) recursive=")
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "counts", "--max", "64")
     assert code == 0
@@ -141,6 +156,13 @@ def test_empty_range_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert "empty" in err
+
+
+def test_verify_all_checks_every_range_first(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "all", "--max", "0")
+    assert code == 2
+    assert out == ""
+    assert "backward_growth" in err
 
 
 def test_load_header_without_count_exit_2(tmp_path, capsys):

@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from revca.grid import (BinaryGrid, MixedParityError, count_values,
-                        diagonal_embed, diagonal_extract, grid_from_text,
-                        grid_to_text, shift, single_seed, swap_x, xor)
+from revca.grid import (BinaryGrid, MixedParityError, SecondOrderState,
+                        count_values, diagonal_embed, diagonal_extract,
+                        grid_from_text, grid_to_text, shift, single_seed,
+                        swap_x, xor)
 from revca.rules import Rule, evolve, second_order_step
 
 cells = st.frozensets(
@@ -26,6 +27,21 @@ def test_count_values_examples():
     assert count_values(SecondOrderState(empty, empty)) == (0, 0, 0, 0, 0)
     s1 = second_order_step(Rule.C1, single_seed())
     assert count_values(s1, 1) == (1, 4, 1, 0, 5)
+
+
+@given(grids, grids, st.integers(-20, 20), st.integers(-20, 20),
+       st.booleans())
+@example(BinaryGrid([(0, 0), (3, 3)]), BinaryGrid([(9, 9)]), 0, 0, False)
+@example(BinaryGrid([(0, 0), (3, 3)]), BinaryGrid([(1, 1), (2, 2)]), 0, 0,
+         False)
+def test_count_values_matches_cell_sets(a, b, dx, dy, nested):
+    """Disjoint boxes come from large shifts, nested ones from a & b."""
+    b = BinaryGrid(a.cells() & b.cells()) if nested else shift(b, dx, dy)
+    for cur, prev in ((a, b), (b, a)):
+        c, p = cur.cells(), prev.cells()
+        both = len(c & p)
+        assert count_values(SecondOrderState(cur, prev), 5) == \
+            (5, len(c) - both, len(p) - both, both, len(c | p))
 
 
 def test_xor_examples():

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from revca import sequences as seq
 from revca.gf2poly import fib_poly_eval, transition_poly
@@ -134,6 +136,30 @@ def test_relation_violation_is_unreachable_but_raisable():
     assert issubclass(RelationViolationError, AssertionError)
 
 
-def test_clear_cache_keeps_answers():
-    seq.clear_cache()
-    assert seq_value(SeqId.R, 15) == 341
+HUGE = [2 ** 40 + 12345, 2 ** 60 + 987654321, 2 ** 200 + 7]
+
+
+def _ladder_matches_split(n):
+    for w in (SeqId.R1, SeqId.R2):
+        assert seq_value(w, n) == seq_value_alt(w, n)
+    assert seq_value(SeqId.R, n) == \
+        seq_value_alt(SeqId.R2, n) + seq_value_alt(SeqId.R2, n + 1)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 200))
+def test_ladder_matches_split_recursion(n):
+    _ladder_matches_split(n)
+
+
+@pytest.mark.parametrize("n", HUGE)
+def test_ladder_matches_split_at_huge_indices(n):
+    _ladder_matches_split(n)
+    assert seq_value(SeqId.R, n) == seq_value(SeqId.R1, 2 * n) \
+        == seq_value(SeqId.R2, 2 * n + 1)
+
+
+def test_module_holds_no_mutable_state():
+    state = {name: type(v).__name__ for name, v in vars(seq).items()
+             if isinstance(v, (dict, list, set))
+             and not name.startswith("__")}
+    assert state == {}

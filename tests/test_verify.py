@@ -106,3 +106,15 @@ def test_report_formats():
 def test_backward_growth_range_guard():
     with pytest.raises(ValueError):
         verify.suite_backward_growth(0)
+
+
+def test_run_all_checks_ranges_before_running(monkeypatch):
+    ran = []
+    for name, (_, default) in verify.SUITES.items():
+        monkeypatch.setitem(verify.SUITES, name,
+                            (lambda k, name=name: ran.append(name), default))
+    with pytest.raises(ValueError, match="backward_growth"):
+        verify.run_all(0)
+    assert ran == []
+    verify.run_suite("counts", 0)
+    assert ran == ["counts"]
