@@ -16,7 +16,7 @@ from .gf2poly import (IndexOutOfRangeError, LaurentPoly2, NonlinearRuleError,
                       poly_from_text, poly_to_grid, poly_to_text,
                       state_poly_at, transition_poly)
 from .rules import (LIFT_NAMES, Rule, evolve, first_order_step, parse_rule,
-                    second_order_inverse, second_order_step,
+                    second_order_inverse, second_order_step, trajectory,
                     trajectory_counts)
 from .sequences import (RelationViolationError, SeqId, SequenceTable,
                         binary_weight, build_table,

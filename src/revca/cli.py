@@ -77,25 +77,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _sequence_columns(method: str, n_max: int) -> dict[str, list[int]]:
     """All three sequences on 0..n_max by the requested method."""
-    if method == "recursive":
-        return {w: [seq.seq_value(SeqId(w), n) for n in range(n_max + 1)]
-                for w in ("R", "R1", "R2")}
-    if method == "alt":
+    if method == "recursive":  # one ladder walk per row: R1(n) = R2(n + 1)
+        r2 = [seq.seq_value(SeqId.R2, n) for n in range(n_max + 2)]
+        r1 = r2[1:]
+    elif method == "alt":
         r1 = [seq.seq_value_alt(SeqId.R1, n) for n in range(n_max + 1)]
         r2 = [seq.seq_value_alt(SeqId.R2, n) for n in range(n_max + 2)]
-        return {"R": [r2[n] + r2[n + 1] for n in range(n_max + 1)],
-                "R1": r1, "R2": r2[:n_max + 1]}
-    if method == "sim":
+    elif method == "sim":
         counts = trajectory_counts(Rule.C2, n_max)
         return {"R": [c.total for c in counts],
                 "R1": [c.r1 for c in counts],
                 "R2": [c.r2 for c in counts]}
-    if method == "poly":
+    elif method == "poly":
         pairs = [state_poly_at(Rule.C2, n) for n in range(n_max + 1)]
         return {"R": [len(p.first) + len(p.second) for p in pairs],
                 "R1": [len(p.first) for p in pairs],
                 "R2": [len(p.second) for p in pairs]}
-    raise ValueError(f"unknown method {method!r}")
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return {"R": [r2[n] + r2[n + 1] for n in range(n_max + 1)],
+            "R1": r1, "R2": r2[:n_max + 1]}
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:

@@ -14,14 +14,11 @@ from typing import NamedTuple
 
 from .grid import BinaryGrid, _from_text, _to_text
 from .rules import Rule
+from .sequences import IndexOutOfRangeError
 
 
 class NonlinearRuleError(ValueError):
     """Requested a transition polynomial for a rule that has none."""
-
-
-class IndexOutOfRangeError(ValueError):
-    """Index outside the domain of a recursion or decomposition."""
 
 
 LaurentPoly2 = BinaryGrid

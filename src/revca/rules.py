@@ -7,12 +7,14 @@ all four diagonal neighbors empty.
 
 The lift of a first-order rule f is F: (c, c') -> (f[c] xor c', c), which
 is reversible; lift names R1, R2, R3, R3p mirror the rule names.
+``trajectory`` walks a lift from a state (by default the single seed)
+forward or backward and yields every state on the way.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -89,15 +91,27 @@ def second_order_inverse(rule: Rule, s: SecondOrderState,
                             xor(step_fn(rule, s.previous), s.current))
 
 
+def trajectory(rule: Rule, n: int, s: SecondOrderState | None = None,
+               step_fn: StepFn = first_order_step) -> Iterator[SecondOrderState]:
+    """The states at steps 0..|n| from ``s`` (default: the single seed).
+
+    Steps go forward for n >= 0 and backward for n < 0.  This is the one
+    place that walks a lift: ``evolve``, ``trajectory_counts`` and the
+    verification suites all iterate it.
+    """
+    s = single_seed() if s is None else s
+    yield s
+    step = second_order_step if n >= 0 else second_order_inverse
+    for _ in range(abs(n)):
+        s = step(rule, s, step_fn)
+        yield s
+
+
 def evolve(rule: Rule, s: SecondOrderState, n: int,
            step_fn: StepFn = first_order_step) -> SecondOrderState:
     """Apply n forward steps (n >= 0) or |n| inverse steps (n < 0)."""
-    if n >= 0:
-        for _ in range(n):
-            s = second_order_step(rule, s, step_fn)
-    else:
-        for _ in range(-n):
-            s = second_order_inverse(rule, s, step_fn)
+    for s in trajectory(rule, n, s, step_fn):
+        pass
     return s
 
 
@@ -106,9 +120,5 @@ def trajectory_counts(rule: Rule, n_max: int,
     """Value tallies along the seed trajectory for n = 0..n_max."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    s = single_seed()
-    out = [count_values(s, 0)]
-    for n in range(1, n_max + 1):
-        s = second_order_step(rule, s, step_fn)
-        out.append(count_values(s, n))
-    return out
+    return [count_values(s, n)
+            for n, s in enumerate(trajectory(rule, n_max, step_fn=step_fn))]

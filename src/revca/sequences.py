@@ -31,7 +31,7 @@ class SeqId(enum.Enum):
 
 
 class IndexOutOfRangeError(ValueError):
-    """Index below the base domain of the requested sequence."""
+    """Index outside the domain of a sequence, recursion or decomposition."""
 
 
 class RelationViolationError(AssertionError):

@@ -6,9 +6,10 @@ reversibility, polynomial state formula, coloring, sublattice embedding,
 diamond landmarks, backward growth) and returns a :class:`SuiteReport`
 with an explicit witness on failure.
 
-The ``step_fn`` parameters exist so tests can inject a deliberately
-corrupted local rule and confirm the suite catches it; production callers
-never pass them.
+Every suite except ``replication`` walks its lift trajectories with
+:func:`revca.rules.trajectory`.  Every suite takes a ``step_fn`` so tests
+can inject a deliberately corrupted local rule and confirm the suite
+catches it; production callers never pass it.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import numpy as np
 from . import sequences as seq
 from .gf2poly import PolyPair, fib_poly_eval, state_poly_at, transition_poly
 from .grid import (BinaryGrid, SecondOrderState, count_values,
-                   diagonal_extract, shift, single_seed, swap_x, xor)
-from .rules import (Rule, StepFn, first_order_step, second_order_inverse,
-                    second_order_step)
+                   diagonal_extract, shift, swap_x, xor)
+from .rules import (Rule, StepFn, _neighbor_sums, first_order_step,
+                    second_order_inverse, second_order_step, trajectory)
 from .sequences import SeqId
 
 
@@ -56,10 +57,7 @@ def suite_counts(n_max: int = 512, step_fn: StepFn = first_order_step) -> SuiteR
     """Simulated tallies of all four lifts match the closed-form recursions."""
     name, rng = "counts", f"n=0..{n_max}"
     for rule in Rule:
-        s = single_seed()
-        for n in range(n_max + 1):
-            if n:
-                s = second_order_step(rule, s, step_fn)
+        for n, s in enumerate(trajectory(rule, n_max, step_fn=step_fn)):
             c = count_values(s, n)
             want = (seq.seq_value(SeqId.R1, n), seq.seq_value(SeqId.R2, n),
                     0, seq.seq_value(SeqId.R, n))
@@ -80,18 +78,14 @@ def suite_equivalence(n_max: int = 256,
     diagonal neighbors empty.
     """
     name, rng = "equivalence", f"n=0..{n_max}"
-    s2, s3, s3p = single_seed(), single_seed(), single_seed()
-    for n in range(n_max + 1):
-        if n:
-            s2 = second_order_step(Rule.C2, s2, step_fn)
-            s3 = second_order_step(Rule.C3, s3, step_fn)
-            s3p = second_order_step(Rule.C3p, s3p, step_fn)
+    runs = zip(*(trajectory(rule, n_max, step_fn=step_fn)
+                 for rule in (Rule.C2, Rule.C3, Rule.C3p)))
+    for n, (s2, s3, s3p) in enumerate(runs):
         if s3 != s2:
             return _fail(name, rng, f"R3 != R2 at n={n}: {_state_diff(s3, s2)}")
         if s3p != s2:
             return _fail(name, rng, f"R3' != R2 at n={n}: {_state_diff(s3p, s2)}")
         if s2.current:
-            from .rules import _neighbor_sums
             orth, diag, _, _ = _neighbor_sums(s2.current)
             if (orth == 3).any():
                 return _fail(name, rng, f"cell with 3 orthogonal neighbors at n={n}")
@@ -149,12 +143,9 @@ def suite_reversibility(n_max: int = 256,
     """Forward/backward round trips recover the seed; X F X = F^-1."""
     name, rng = "reversibility", f"n=0..{n_max}"
     for rule in Rule:
-        traj = [single_seed()]
-        for _ in range(n_max):
-            traj.append(second_order_step(rule, traj[-1], step_fn))
-        s = traj[-1]
-        for n in range(n_max - 1, -1, -1):
-            s = second_order_inverse(rule, s, step_fn)
+        traj = list(trajectory(rule, n_max, step_fn=step_fn))
+        back = trajectory(rule, -n_max, traj[-1], step_fn)
+        for n, s in zip(range(n_max, -1, -1), back):
             if s != traj[n]:
                 return _fail(name, rng,
                              f"rule={rule.value}: backward step to n={n} "
@@ -165,10 +156,12 @@ def suite_reversibility(n_max: int = 256,
             if lhs != rhs:
                 return _fail(name, rng,
                              f"rule={rule.value} n={n}: X F X != F^-1")
+        del traj  # else the next rule's list is built while this one lives
     return _ok(name, rng)
 
 
-def suite_polynomial(n_max: int = 128) -> SuiteReport:
+def suite_polynomial(n_max: int = 128,
+                     step_fn: StepFn = first_order_step) -> SuiteReport:
     """State formula (f_{n+1}(T), f_n(T)) matches simulation; decompositions hold.
 
     For every n = 2^k + j in range it also checks the five-pattern split of
@@ -177,10 +170,7 @@ def suite_polynomial(n_max: int = 128) -> SuiteReport:
     """
     name, rng = "polynomial", f"n=0..{n_max}"
     for rule in (Rule.C1, Rule.C2):
-        s = single_seed()
-        for n in range(n_max + 1):
-            if n:
-                s = second_order_step(rule, s)
+        for n, s in enumerate(trajectory(rule, n_max, step_fn=step_fn)):
             pp = state_poly_at(rule, n)
             if pp.first != s.current or pp.second != s.previous:
                 return _fail(name, rng,
@@ -199,18 +189,22 @@ def suite_polynomial(n_max: int = 128) -> SuiteReport:
             if d + j > n_max:
                 break
             for rule in (Rule.C1, Rule.C2):
-                T = transition_poly(rule)
-                t2k = T.pow_2k(k)
-                pj = state_poly_at(rule, j)
-                back = state_poly_at(rule, d - j - 1)
-                got = state_poly_at(rule, d + j)
-                want = PolyPair(t2k * pj.first + back.second,
-                                t2k * pj.second + back.first)
-                if got != want:
+                if _pair_composition(rule, k, j) is None:
                     return _fail(name, rng,
                                  f"rule={rule.value} n=2^{k}+{j}: pair "
                                  f"composition identity failed")
     return _ok(name, rng)
+
+
+def _pair_composition(rule: Rule, k: int, j: int) -> PolyPair | None:
+    """The outer term T^{2^k} P[C_j] if P[C_{2^k+j}] = T^{2^k} P[C_j] +
+    P[X C_{2^k-j-1}] holds (X swaps the pair), else None."""
+    t2k = transition_poly(rule).pow_2k(k)
+    pj = state_poly_at(rule, j)
+    back = state_poly_at(rule, (1 << k) - j - 1)
+    outer = PolyPair(t2k * pj.first, t2k * pj.second)
+    want = PolyPair(outer.first + back.second, outer.second + back.first)
+    return outer if state_poly_at(rule, (1 << k) + j) == want else None
 
 
 def _five_pattern_witness(T1, k: int, j: int) -> str | None:
@@ -228,7 +222,8 @@ def _five_pattern_witness(T1, k: int, j: int) -> str | None:
     return None
 
 
-def suite_coloring(n_max: int = 256) -> SuiteReport:
+def suite_coloring(n_max: int = 256,
+                   step_fn: StepFn = first_order_step) -> SuiteReport:
     """Checkerboard separation of value-1 and value-2 cells.
 
     R2: no value-3 cell; value-1 cells sit on parity n mod 2 of i+j,
@@ -238,11 +233,9 @@ def suite_coloring(n_max: int = 256) -> SuiteReport:
     coset.
     """
     name, rng = "coloring", f"n=0..{n_max}"
-    s1, s2 = single_seed(), single_seed()
-    for n in range(n_max + 1):
-        if n:
-            s1 = second_order_step(Rule.C1, s1)
-            s2 = second_order_step(Rule.C2, s2)
+    runs = zip(trajectory(Rule.C1, n_max, step_fn=step_fn),
+               trajectory(Rule.C2, n_max, step_fn=step_fn))
+    for n, (s1, s2) in enumerate(runs):
         for s, rule in ((s1, "R1"), (s2, "R2")):
             if count_values(s, n).r3:
                 return _fail(name, rng, f"{rule} n={n}: value-3 cell present")
@@ -259,14 +252,13 @@ def suite_coloring(n_max: int = 256) -> SuiteReport:
     return _ok(name, rng)
 
 
-def suite_sublattice(n_max: int = 256) -> SuiteReport:
+def suite_sublattice(n_max: int = 256,
+                     step_fn: StepFn = first_order_step) -> SuiteReport:
     """R2 is R1 restricted to the even diagonal sublattice, step by step."""
     name, rng = "sublattice", f"n=0..{n_max}"
-    s1, s2 = single_seed(), single_seed()
-    for n in range(n_max + 1):
-        if n:
-            s1 = second_order_step(Rule.C1, s1)
-            s2 = second_order_step(Rule.C2, s2)
+    runs = zip(trajectory(Rule.C1, n_max, step_fn=step_fn),
+               trajectory(Rule.C2, n_max, step_fn=step_fn))
+    for n, (s1, s2) in enumerate(runs):
         try:
             cur = diagonal_extract(s1.current, "even")
             prev = diagonal_extract(s1.previous, "even")
@@ -284,16 +276,15 @@ def diamond_cells(n: int) -> frozenset[tuple[int, int]]:
     return frozenset((u, v) for u in pts for v in pts)
 
 
-def suite_diamond(k_max: int = 5) -> SuiteReport:
+def suite_diamond(k_max: int = 5,
+                  step_fn: StepFn = first_order_step) -> SuiteReport:
     """At n = 2^k - 1 the R1 value-1 cells form the 4^k checkerboard diamond."""
     name, rng = "diamond", f"k=0..{k_max}"
-    s = single_seed()
-    n = 0
-    for k in range(k_max + 1):
-        target = (1 << k) - 1
-        while n < target:
-            s = second_order_step(Rule.C1, s)
-            n += 1
+    for target, s in enumerate(trajectory(Rule.C1, (1 << k_max) - 1,
+                                          step_fn=step_fn)):
+        if target & (target + 1):  # not of the form 2^k - 1
+            continue
+        k = target.bit_length()
         ones = s.current.cells()
         if len(ones) != 4 ** k:
             return _fail(name, rng, f"k={k}: |value-1| = {len(ones)} != 4^{k}")
@@ -309,7 +300,8 @@ def suite_diamond(k_max: int = 5) -> SuiteReport:
     return _ok(name, rng)
 
 
-def suite_backward_growth(k_max: int = 6) -> SuiteReport:
+def suite_backward_growth(k_max: int = 6,
+                          step_fn: StepFn = first_order_step) -> SuiteReport:
     """Backward dynamics of the central region in the growth decomposition.
 
     For n = 2^k + j the decomposition P[C_n] = T^{2^k} P[C_j] +
@@ -321,36 +313,21 @@ def suite_backward_growth(k_max: int = 6) -> SuiteReport:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     name, rng = "backward_growth", f"k=1..{k_max}"
-    T = transition_poly(Rule.C1)
     # F(X C_i) = X C_{i-1}, checked by direct simulation
-    traj = [single_seed()]
-    for _ in range(1 << k_max):
-        traj.append(second_order_step(Rule.C1, traj[-1]))
+    traj = list(trajectory(Rule.C1, 1 << k_max, step_fn=step_fn))
     for i in range(1, len(traj)):
-        if second_order_step(Rule.C1, swap_x(traj[i])) != swap_x(traj[i - 1]):
+        if (second_order_step(Rule.C1, swap_x(traj[i]), step_fn)
+                != swap_x(traj[i - 1])):
             return _fail(name, rng, f"F(X C_{i}) != X C_{i - 1}")
     for k in range(1, k_max + 1):
-        d = 1 << k
-        for j in range(d):
-            t2k = T.pow_2k(k)
-            pj = state_poly_at(Rule.C1, j)
-            central = state_poly_at(Rule.C1, d - j - 1)
-            got = state_poly_at(Rule.C1, d + j)
-            want = PolyPair(t2k * pj.first + central.second,
-                            t2k * pj.second + central.first)
-            if got != want:
+        for j in range(1 << k):
+            if _pair_composition(Rule.C1, k, j) is None:
                 return _fail(name, rng, f"n=2^{k}+{j}: decomposition failed")
         # boundary: after j = 2^k - 1 the outer copies merge into the center
-        d2 = d << 1
-        got = state_poly_at(Rule.C1, d2)
-        central = state_poly_at(Rule.C1, d2 - 1)
-        seed_pair = state_poly_at(Rule.C1, 0)
-        t2k1 = T.pow_2k(k + 1)
-        want = PolyPair(t2k1 * seed_pair.first + central.second,
-                        t2k1 * seed_pair.second + central.first)
-        if got != want:
+        outer = _pair_composition(Rule.C1, k + 1, 0)
+        if outer is None:
             return _fail(name, rng, f"n=2^{k + 1}: merge step decomposition failed")
-        if len(t2k1 * seed_pair.first) != 4:
+        if len(outer.first) != 4:
             return _fail(name, rng, f"n=2^{k + 1}: outer copies are not 4 seeds")
     return _ok(name, rng)
 

@@ -7,6 +7,7 @@ criterion.
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,4 +180,7 @@ def test_criterion_12_determinism():
         assert r.returncode == 0, r.stdout.decode() + r.stderr.decode()
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stderr == runs[1].stderr
-    _verdict(12, "verify --suite all is byte-identical across runs")
+    golden = Path(__file__).resolve().parents[1] / "bench" / "golden"
+    assert runs[0].stdout == (golden / "verify_all.txt").read_bytes()
+    _verdict(12, "verify --suite all is byte-identical across runs "
+                 "and to its golden transcript")

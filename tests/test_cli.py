@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,9 @@ from revca import sequences
 from revca.cli import main, state_from_text, state_to_text
 from revca.grid import single_seed
 from revca.rules import Rule, evolve
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
 
 
 def run(capsys, *argv):
@@ -94,6 +98,13 @@ def test_sequence_check_mismatch_exit_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("mismatch: R1(17) recursive=")
+
+
+def test_sequence_check_matches_golden(capsys):
+    code, out, err = run(capsys, "sequence", "--which", "R", "--max", "200",
+                         "--check")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "sequence_R_200_check.txt").read_text()
 
 
 def test_verify_single_suite(capsys):

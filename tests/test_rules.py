@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from revca import rules
 from revca.grid import (BinaryGrid, count_values, diagonal_extract, shift,
                         single_seed, swap_x, xor)
 from revca.rules import (Rule, evolve, first_order_step, parse_rule,
-                         second_order_inverse, second_order_step,
+                         second_order_inverse, second_order_step, trajectory,
                          trajectory_counts)
 
 # population table for n = 0..15 from the seed
@@ -72,6 +73,27 @@ def test_evolve():
     assert (c.r1, c.r2, c.r3, c.total) == (64, 21, 0, 85)
     s9 = evolve(Rule.C1, single_seed(), 9)
     assert evolve(Rule.C1, s9, -9) == single_seed()
+
+
+def test_trajectory_walks_both_ways():
+    fwd = list(trajectory(Rule.C2, 5))
+    assert len(fwd) == 6 and fwd[0] == single_seed()
+    assert [count_values(s, n).total for n, s in enumerate(fwd)] == TABLE_R[:6]
+    assert list(trajectory(Rule.C2, -5, fwd[-1])) == fwd[::-1]
+    assert list(trajectory(Rule.C2, 0, fwd[3])) == [fwd[3]]
+
+
+def test_trajectory_steps_through_module_globals(monkeypatch):
+    # the lift steps are looked up when the walk starts, so a wrapper
+    # installed on the module (as a tracer does) sees every step
+    seen = []
+    for name in ("second_order_step", "second_order_inverse"):
+        real = getattr(rules, name)
+        monkeypatch.setattr(rules, name, lambda r, s, f, real=real, name=name:
+                            seen.append(name) or real(r, s, f))
+    back = evolve(Rule.C1, evolve(Rule.C1, single_seed(), 3), -2)
+    assert seen == ["second_order_step"] * 3 + ["second_order_inverse"] * 2
+    assert back == second_order_step(Rule.C1, single_seed())
 
 
 def test_trajectory_counts_table():

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import revca
 from revca import sequences as seq
-from revca.gf2poly import fib_poly_eval, transition_poly
+from revca.gf2poly import fib_addition_split, fib_poly_eval, transition_poly
 from revca.rules import Rule, first_order_step, trajectory_counts
 from revca.sequences import (IndexOutOfRangeError, RelationViolationError,
                              SeqId, binary_weight, build_table, linear_count,
@@ -55,6 +56,14 @@ def test_seq_value_domain_errors():
         seq_value(SeqId.R2, -1)
     with pytest.raises(IndexOutOfRangeError):
         seq_value(SeqId.R1, -2)
+
+
+def test_one_index_out_of_range_error():
+    # the class the package exports catches range errors of both modules
+    with pytest.raises(revca.IndexOutOfRangeError):
+        seq_value(SeqId.R, -1)
+    with pytest.raises(revca.IndexOutOfRangeError):
+        fib_addition_split(2, 4, transition_poly(Rule.C1))
 
 
 def test_seq_value_alt_examples():

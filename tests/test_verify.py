@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from revca import verify
-from revca.grid import BinaryGrid
+from revca.grid import BinaryGrid, shift, xor
 from revca.rules import Rule, first_order_step
 
 
@@ -29,6 +29,38 @@ def corrupt_c2_missing_neighbor(rule, g):
     return first_order_step(rule, g)
 
 
+def corrupt_c1_with_center(rule, g):
+    """C1 that also counts the cell itself in its parity."""
+    if rule is Rule.C1:
+        return xor(first_order_step(rule, g), g)
+    return first_order_step(rule, g)
+
+
+def corrupt_c1_displaced(rule, g):
+    """C1 whose result lands one column to the right."""
+    if rule is Rule.C1:
+        return shift(first_order_step(rule, g), 1, 0)
+    return first_order_step(rule, g)
+
+
+def drifting_c1(calls_before_drift):
+    """C1 that, after a number of calls, also turns the origin on.
+
+    F(X C_i) = X C_{i-1} holds for every rule that is a function of its
+    input, so only a rule that changes between the forward walk and the
+    check can break it.
+    """
+    calls = []
+
+    def step(rule, g):
+        calls.append(rule)
+        out = first_order_step(rule, g)
+        if len(calls) > calls_before_drift:
+            return xor(out, BinaryGrid([(0, 0)]))
+        return out
+    return step
+
+
 @pytest.mark.parametrize("name", list(verify.SUITES))
 def test_suites_pass_at_reduced_ranges(name):
     fn, _ = verify.SUITES[name]
@@ -37,6 +69,19 @@ def test_suites_pass_at_reduced_ranges(name):
     assert report.passed, report.witness
     assert report.witness is None
     assert report.suite == name
+
+
+@pytest.mark.parametrize("name", list(verify.SUITES))
+def test_every_suite_steps_through_step_fn(name):
+    calls = []
+
+    def counting(rule, g):
+        calls.append(rule)
+        return first_order_step(rule, g)
+
+    fn, _ = verify.SUITES[name]
+    assert fn(2, step_fn=counting).passed
+    assert calls
 
 
 def test_run_all_order_is_fixed():
@@ -77,6 +122,42 @@ def test_reversibility_negative_control():
 
     report = verify.suite_reversibility(8, step_fn=flaky)
     assert not report.passed
+
+
+def test_polynomial_negative_control():
+    report = verify.suite_polynomial(8, step_fn=corrupt_c2_missing_neighbor)
+    assert not report.passed
+    assert report.witness.startswith("rule=C2 n=1: polynomial state")
+
+
+@pytest.mark.parametrize("step_fn, witness", [
+    # the origin turns on again on top of its previous value
+    (corrupt_c1_with_center, "R1 n=1: value-3 cell present"),
+    (corrupt_c1_displaced, "R1 n=1: component off its sublattice coset"),
+])
+def test_coloring_negative_control(step_fn, witness):
+    report = verify.suite_coloring(8, step_fn=step_fn)
+    assert not report.passed
+    assert report.witness == witness
+
+
+def test_sublattice_negative_control():
+    report = verify.suite_sublattice(8, step_fn=corrupt_c2_missing_neighbor)
+    assert not report.passed
+    assert report.witness == "n=1: extracted R1 state != R2 state"
+
+
+def test_diamond_negative_control():
+    report = verify.suite_diamond(3, step_fn=corrupt_c1_with_center)
+    assert not report.passed
+    assert report.witness == "k=1: |value-1| = 5 != 4^1"
+
+
+def test_backward_growth_negative_control():
+    # the forward walk to 2^3 takes 8 calls; the rule drifts after them
+    report = verify.suite_backward_growth(3, step_fn=drifting_c1(8))
+    assert not report.passed
+    assert report.witness == "F(X C_1) != X C_0"
 
 
 def test_witness_present_iff_failed():
