@@ -88,11 +88,11 @@ def _sequence_columns(method: str, n_max: int) -> dict[str, list[int]]:
         return {"R": [c.total for c in counts],
                 "R1": [c.r1 for c in counts],
                 "R2": [c.r2 for c in counts]}
-    elif method == "poly":
-        pairs = [state_poly_at(Rule.C2, n) for n in range(n_max + 1)]
-        return {"R": [len(p.first) + len(p.second) for p in pairs],
-                "R1": [len(p.first) for p in pairs],
-                "R2": [len(p.second) for p in pairs]}
+    elif method == "poly":  # one pair alive at a time: sizes only
+        sizes = [tuple(map(len, state_poly_at(Rule.C2, n)))
+                 for n in range(n_max + 1)]
+        return {"R": [a + b for a, b in sizes],
+                "R1": [a for a, _ in sizes], "R2": [b for _, b in sizes]}
     else:
         raise ValueError(f"unknown method {method!r}")
     return {"R": [r2[n] + r2[n + 1] for n in range(n_max + 1)],

@@ -300,7 +300,8 @@ def _to_text(g: BinaryGrid, tag: str, key: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: largest bounding box, in cells, that a parsed block may span (256 MiB)
+#: largest bounding box, in cells, that a parsed block (256 MiB as a
+#: window) or a bit-packed walk plane (32 MiB) may span
 MAX_PARSED_WINDOW = 1 << 28
 
 

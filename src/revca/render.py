@@ -16,6 +16,10 @@ PALETTE = {0: (255, 255, 255), 1: (0, 0, 0), 2: (128, 128, 128), 3: (255, 0, 0)}
 
 TXT_CHARS = ".123"
 
+_TXT_CODES = np.frombuffer(TXT_CHARS.encode("ascii"), dtype=np.uint8)
+_PPM_TOKENS = np.array([" ".join(map(str, PALETTE[x])) for x in range(4)],
+                       dtype=object)
+
 
 def value_window(s: SecondOrderState, n: int) -> np.ndarray:
     """(2n+1, 2n+1) array of cell values, row 0 at j = +n; cells outside
@@ -31,17 +35,25 @@ def value_window(s: SecondOrderState, n: int) -> np.ndarray:
     return v
 
 
+def _text_rows(cells: np.ndarray) -> str:
+    """uint8 character codes, one row per line, each ending in a newline."""
+    h, w = cells.shape
+    out = np.full((h, w + 1), ord("\n"), dtype=np.uint8)
+    out[:, :w] = cells
+    return out.tobytes().decode("ascii")
+
+
 def render_txt(s: SecondOrderState, n: int) -> str:
-    v = value_window(s, n)
-    return "\n".join("".join(TXT_CHARS[x] for x in row) for row in v) + "\n"
+    return _text_rows(_TXT_CODES[value_window(s, n)])
 
 
 def render_pbm(s: SecondOrderState, n: int) -> str:
     """Plain PBM (P1): nonzero cell value -> black pixel (1)."""
     v = value_window(s, n)
     h, w = v.shape
-    rows = (" ".join("1" if x else "0" for x in row) for row in v)
-    return f"P1\n{w} {h}\n" + "\n".join(rows) + "\n"
+    pix = np.full((h, 2 * w - 1), ord(" "), dtype=np.uint8)
+    pix[:, ::2] = np.where(v > 0, ord("1"), ord("0"))
+    return f"P1\n{w} {h}\n" + _text_rows(pix)
 
 
 def render_ppm(s: SecondOrderState, n: int) -> str:
@@ -49,8 +61,7 @@ def render_ppm(s: SecondOrderState, n: int) -> str:
     v = value_window(s, n)
     h, w = v.shape
     lines = [f"P3\n{w} {h}\n255"]
-    for row in v:
-        lines.append(" ".join(" ".join(map(str, PALETTE[x])) for x in row))
+    lines += map(" ".join, _PPM_TOKENS[v].tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -1,10 +1,13 @@
 import json
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from revca import sequences
-from revca.cli import main, state_from_text, state_to_text
+from revca.cli import _sequence_columns, main, state_from_text, state_to_text
+from revca.gf2poly import state_poly_at
 from revca.grid import single_seed
 from revca.rules import Rule, evolve
 
@@ -100,6 +103,20 @@ def test_sequence_check_mismatch_exit_3(capsys, monkeypatch):
     assert err.startswith("mismatch: R1(17) recursive=")
 
 
+def test_poly_columns_keep_one_pair_alive():
+    pair = state_poly_at(Rule.C2, 200)
+    pair_bytes = pair.first.window.nbytes + pair.second.window.nbytes
+    del pair
+    tracemalloc.start()
+    try:
+        cols = _sequence_columns("poly", 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cols == _sequence_columns("recursive", 200)
+    assert peak < 2 * pair_bytes
+
+
 def test_sequence_check_matches_golden(capsys):
     code, out, err = run(capsys, "sequence", "--which", "R", "--max", "200",
                          "--check")
@@ -174,6 +191,18 @@ def test_verify_all_checks_every_range_first(capsys):
     assert code == 2
     assert out == ""
     assert "backward_growth" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--rule", "R1", "--steps", "100000"),
+    ("verify", "--suite", "counts", "--max", str(10**20)),
+])
+def test_walk_size_guard_exit_2(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "spans more than" in err
 
 
 def test_load_header_without_count_exit_2(tmp_path, capsys):

@@ -1,8 +1,39 @@
 import pytest
 
-from revca.grid import count_values, single_seed
-from revca.render import render, render_pbm, render_ppm, render_txt
+from revca.grid import BinaryGrid, SecondOrderState, count_values, single_seed
+from revca.render import (PALETTE, TXT_CHARS, render, render_pbm, render_ppm,
+                          render_txt, value_window)
 from revca.rules import Rule, evolve
+
+
+def pixel_loop_render(s, n, fmt):
+    """The per-pixel renderers the vectorized ones replaced: the oracle."""
+    v = value_window(s, n)
+    h, w = v.shape
+    if fmt == "txt":
+        return "\n".join("".join(TXT_CHARS[x] for x in row) for row in v) + "\n"
+    if fmt == "pbm":
+        rows = (" ".join("1" if x else "0" for x in row) for row in v)
+        return f"P1\n{w} {h}\n" + "\n".join(rows) + "\n"
+    lines = [f"P3\n{w} {h}\n255"]
+    for row in v:
+        lines.append(" ".join(" ".join(map(str, PALETTE[x])) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+MIXED = SecondOrderState(BinaryGrid([(1, -1), (0, 0), (2, 2)]),
+                         BinaryGrid([(0, 1), (0, 0), (-3, 0)]))
+PREVIOUS_ONLY = SecondOrderState(BinaryGrid(), BinaryGrid([(0, 0), (1, 1)]))
+
+
+@pytest.mark.parametrize("fmt", ["txt", "pbm", "ppm"])
+def test_render_matches_pixel_loop(fmt):
+    cases = [(single_seed(), 0), (PREVIOUS_ONLY, 0), (PREVIOUS_ONLY, 2),
+             (MIXED, 0), (MIXED, 1), (MIXED, 3)]
+    cases += [(evolve(rule, single_seed(), n), r) for rule in Rule
+              for n, r in ((1, 1), (9, 9), (9, 4), (40, 41))]
+    for s, n in cases:
+        assert render(s, n, fmt) == pixel_loop_render(s, n, fmt)
 
 
 def test_txt_step_1():

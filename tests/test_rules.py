@@ -1,10 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revca import rules
-from revca.grid import (BinaryGrid, count_values, diagonal_extract, shift,
-                        single_seed, swap_x, xor)
+from revca.grid import (BinaryGrid, SecondOrderState, count_values,
+                        diagonal_extract, shift, single_seed, swap_x, xor)
 from revca.rules import (Rule, evolve, first_order_step, parse_rule,
                          second_order_inverse, second_order_step, trajectory,
                          trajectory_counts)
@@ -44,7 +43,6 @@ def test_second_order_step_examples():
     assert count_values(s1, 1) == (1, 4, 1, 0, 5)
     s2 = second_order_step(Rule.C2, single_seed())
     assert s2.current == CROSS
-    from revca.grid import SecondOrderState
     quiescent = SecondOrderState(BinaryGrid(), BinaryGrid())
     assert second_order_step(Rule.C2, quiescent) == quiescent
 
@@ -83,17 +81,73 @@ def test_trajectory_walks_both_ways():
     assert list(trajectory(Rule.C2, 0, fwd[3])) == [fwd[3]]
 
 
-def test_trajectory_steps_through_module_globals(monkeypatch):
-    # the lift steps are looked up when the walk starts, so a wrapper
-    # installed on the module (as a tracer does) sees every step
-    seen = []
-    for name in ("second_order_step", "second_order_inverse"):
-        real = getattr(rules, name)
-        monkeypatch.setattr(rules, name, lambda r, s, f, real=real, name=name:
-                            seen.append(name) or real(r, s, f))
-    back = evolve(Rule.C1, evolve(Rule.C1, single_seed(), 3), -2)
-    assert seen == ["second_order_step"] * 3 + ["second_order_inverse"] * 2
-    assert back == second_order_step(Rule.C1, single_seed())
+# columns around the word edges of the bit-packed planes (j = 64 w + bit),
+# negative ones included, so states span more than one 64-bit word
+wide_cols = st.one_of(st.integers(-140, 140),
+                      st.sampled_from([-129, -128, -65, -64, -1, 63, 64, 127,
+                                       128]))
+wide_grids = st.frozensets(st.tuples(st.integers(-5, 5), wide_cols),
+                           max_size=20).map(BinaryGrid)
+states = st.builds(SecondOrderState, wide_grids, wide_grids)
+
+
+def lift_steps(rule, n, s, step_fn=first_order_step):
+    """The per-grid reference: iterated second_order_step/inverse."""
+    step = second_order_step if n >= 0 else second_order_inverse
+    out = [s]
+    for _ in range(abs(n)):
+        out.append(step(rule, out[-1], step_fn))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(states, st.integers(-70, 70))
+def test_walk_matches_lift_steps(s, n):
+    for rule in Rule:
+        want = lift_steps(rule, n, s)
+        assert list(trajectory(rule, n, s)) == want
+        assert evolve(rule, s, n) == want[-1]
+
+
+@pytest.mark.parametrize("rule", list(Rule))
+def test_walk_from_seed_matches_lift_steps(rule):
+    # the box crosses word edges growing forward and shrinking backward
+    want = lift_steps(rule, 70, single_seed())
+    assert list(trajectory(rule, 70)) == want
+    assert list(trajectory(rule, -70, want[-1])) == lift_steps(rule, -70,
+                                                               want[-1])
+
+
+@pytest.mark.parametrize("n", [-37, 0, 1, 45])
+def test_walk_calls_step_fn_once_per_step(n):
+    calls = []
+
+    def counted(rule, g):
+        calls.append(g)
+        return first_order_step(rule, g)
+
+    s = evolve(Rule.C3, single_seed(), 6)
+    want = lift_steps(Rule.C3, n, s)
+    assert list(trajectory(Rule.C3, n, s, counted)) == want
+    assert len(calls) == abs(n)
+    calls.clear()
+    assert evolve(Rule.C3, s, n, counted) == want[-1]
+    assert len(calls) == abs(n)
+
+
+@pytest.mark.parametrize("rule", list(Rule))
+@pytest.mark.parametrize("n", [-40, 40])
+def test_walk_grows_planes_for_a_drifting_step_fn(rule, n):
+    # each step's result moves 3 columns, so it leaves the planes sized
+    # for a rule that grows by one cell per step
+    def drifting(r, g):
+        return shift(first_order_step(r, g), 0, 3)
+
+    s = SecondOrderState(BinaryGrid([(0, 0), (1, 62)]), BinaryGrid([(0, 63)]))
+    want = lift_steps(rule, n, s, drifting)
+    assert want[-1].current.bounds()[3] > 2 * abs(n) + 64
+    assert list(trajectory(rule, n, s, drifting)) == want
+    assert evolve(rule, s, n, drifting) == want[-1]
 
 
 def test_trajectory_counts_table():
