@@ -10,11 +10,11 @@ is reversible; lift names R1, R2, R3, R3p mirror the rule names.
 ``trajectory`` walks a lift from a state (by default the single seed)
 forward or backward and yields every state on the way.
 
-A walk runs on two bit-packed planes (rows along i, one bit per cell
-along j) allocated once, the start state's box grown by |n|+1 on each
-side, and updated in place with word-wide shifts; a grid is unpacked only
-for a state that is handed out.  ``first_order_step`` and the two lift
-steps stay the per-grid reference that the tests compare the walk with.
+Each rule has one kernel, ``_rule_words``, on bit-packed rows (64 cells
+per word).  ``first_order_step`` runs it on one packed grid; a walk runs
+it in place on two planes allocated once and unpacks a grid only for a
+state it hands out.  The tests check it against a dense neighbor-count
+stencil, kept there as the independent oracle.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ class Rule(enum.Enum):
     C3 = "C3"
     C3p = "C3p"
 
-    @property
-    def is_linear(self) -> bool:
-        return self in (Rule.C1, Rule.C2)
-
 
 #: lift name -> underlying first-order rule
 LIFT_NAMES = {"R1": Rule.C1, "R2": Rule.C2, "R3": Rule.C3, "R3p": Rule.C3p}
@@ -51,50 +47,6 @@ def parse_rule(name: str) -> Rule:
         return Rule(name)
     except ValueError:
         raise ValueError(f"unknown rule {name!r}") from None
-
-
-def _neighbor_sums(g: BinaryGrid) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Orthogonal and diagonal neighbor counts on the window grown by 1."""
-    w = g.window
-    p = np.zeros((w.shape[0] + 4, w.shape[1] + 4), dtype=np.uint8)
-    p[2:-2, 2:-2] = w
-    orth = p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:]
-    diag = p[:-2, :-2] + p[:-2, 2:] + p[2:, :-2] + p[2:, 2:]
-    i0, j0 = g.origin
-    return orth, diag, i0 - 1, j0 - 1
-
-
-def first_order_step(rule: Rule, g: BinaryGrid) -> BinaryGrid:
-    """One application of the named first-order rule."""
-    if not g:
-        return g
-    orth, diag, i0, j0 = _neighbor_sums(g)
-    if rule is Rule.C1:
-        new = diag & 1
-    elif rule is Rule.C2:
-        new = orth & 1
-    elif rule is Rule.C3:
-        new = (orth == 1).astype(np.uint8)
-    else:
-        new = ((orth == 1) & (diag == 0)).astype(np.uint8)
-    return BinaryGrid.from_window(new, i0, j0)
-
-
-StepFn = Callable[[Rule, BinaryGrid], BinaryGrid]
-
-
-def second_order_step(rule: Rule, s: SecondOrderState,
-                      step_fn: StepFn = first_order_step) -> SecondOrderState:
-    """Forward step of the reversible lift: (c, c') -> (f[c]+c', c)."""
-    return SecondOrderState(xor(step_fn(rule, s.current), s.previous),
-                            s.current)
-
-
-def second_order_inverse(rule: Rule, s: SecondOrderState,
-                         step_fn: StepFn = first_order_step) -> SecondOrderState:
-    """Backward step: (a, b) -> (b, f[b]+a); inverse of the forward step."""
-    return SecondOrderState(s.previous,
-                            xor(step_fn(rule, s.previous), s.current))
 
 
 #: plane word dtype: bit k of word w in a row is column 64 w + k
@@ -130,28 +82,69 @@ def _rule_words(rule: Rule, x: np.ndarray, nw: int) -> np.ndarray:
     return out
 
 
+def _pack(win: np.ndarray, r: int, c: int, rows: int,
+          words: int) -> np.ndarray:
+    """A 0/1 window at row r, bit c of ``rows`` x ``words`` zero words."""
+    buf = np.zeros((rows, 64 * words), dtype=np.uint8)
+    buf[r:r + win.shape[0], c:c + win.shape[1]] = win
+    return np.packbits(buf, axis=1, bitorder="little").view(_WORD)
+
+
+def _unpack(words: np.ndarray, c: int, count: int) -> np.ndarray:
+    """Bits c..c+count-1 of each row of packed words as a 0/1 window."""
+    packed = words >> np.uint64(c)  # bit c to bit 0
+    if c:
+        packed[:, :-1] |= words[:, 1:] << np.uint64(64 - c)
+    return np.unpackbits(packed.view(np.uint8), axis=1, count=count,
+                         bitorder="little")
+
+
+def first_order_step(rule: Rule, g: BinaryGrid) -> BinaryGrid:
+    """One application of the named first-order rule: g packed below two
+    empty rows and right of one empty bit, stepped by ``_rule_words``,
+    unpacked from bit 0 over the box grown by one and cropped."""
+    (h, w), (i0, j0) = g.window.shape, g.origin
+    nw = -(-(w + 2) // 64)  # the last bit of each row stays empty
+    new = _rule_words(rule, _pack(g.window, 2, 1, h + 4, nw).ravel(), nw)
+    return BinaryGrid.from_window(_unpack(new.reshape(h + 2, nw), 0, w + 2),
+                                  i0 - 1, j0 - 1)
+
+
+StepFn = Callable[[Rule, BinaryGrid], BinaryGrid]
+
+
+def second_order_step(rule: Rule, s: SecondOrderState,
+                      step_fn: StepFn = first_order_step) -> SecondOrderState:
+    """Forward step of the reversible lift: (c, c') -> (f[c]+c', c)."""
+    return SecondOrderState(xor(step_fn(rule, s.current), s.previous),
+                            s.current)
+
+
+def second_order_inverse(rule: Rule, s: SecondOrderState,
+                         step_fn: StepFn = first_order_step) -> SecondOrderState:
+    """Backward step: (a, b) -> (b, f[b]+a); inverse of the forward step."""
+    return SecondOrderState(s.previous,
+                            xor(step_fn(rule, s.previous), s.current))
+
+
 class _Planes:
     """The two newest states X_{k+1}, X_k of a walk X_{k+1} = f(X_k) + X_{k-1}
     on two preallocated bit-packed planes (rows along i, bits along j).
 
     Index 0 is the newest plane.  Each plane keeps its tight box in plane
     coordinates (r0, r1, c0, c1), half-open, or None when empty, and the
-    BinaryGrid it holds once one has been unpacked.
+    BinaryGrid it holds once one has been unpacked.  f grows a box by one
+    per step, so planes over both boxes grown by |n|+1 hold a walk of |n|
+    steps.
     """
 
     def __init__(self, newer: BinaryGrid, older: BinaryGrid, margin: int):
-        self.margin = margin
         self.grids: list[BinaryGrid | None] = [newer, older]
-        self._alloc()
-
-    def _alloc(self, *more: BinaryGrid) -> None:
-        """Fresh planes over the boxes of both states and of ``more``, grown
-        by the margin, holding the two states."""
-        m = self.margin
-        boxes = [g.bounds() for g in (*self.grids, *more) if g] or [(0, 0, 0, 0)]
-        i0, j0 = min(b[0] for b in boxes) - m, min(b[2] for b in boxes) - m
-        rows = max(b[1] for b in boxes) + m + 1 - i0
-        cols = max(b[3] for b in boxes) + m + 1 - j0
+        boxes = [g.bounds() for g in self.grids if g] or [(0, 0, 0, 0)]
+        i0 = min(b[0] for b in boxes) - margin
+        j0 = min(b[2] for b in boxes) - margin
+        rows = max(b[1] for b in boxes) + margin + 1 - i0
+        cols = max(b[3] for b in boxes) + margin + 1 - j0
         if rows * cols > MAX_PARSED_WINDOW:
             raise ValueError(f"a walk plane of {rows} x {cols} cells spans "
                              f"more than {MAX_PARSED_WINDOW} cells")
@@ -159,18 +152,21 @@ class _Planes:
         self.planes = [np.zeros((rows, -(-cols // 64)), dtype=_WORD)
                        for _ in range(2)]
         self.boxes: list[tuple[int, int, int, int] | None] = [None, None]
-        for k in range(2):
-            self._xor_grid(k, self.grids[k])
+        for k, g in enumerate(self.grids):
+            if g:
+                r0, c0 = g.origin[0] - i0, g.origin[1] - j0
+                (h, w), wa, off = g.window.shape, c0 >> 6, c0 & 63
+                words = -(-(off + w) // 64)
+                self.planes[k][r0:r0 + h, wa:wa + words] = _pack(
+                    g.window, 0, off, h, words)
+                self.boxes[k] = (r0, r0 + h, c0, c0 + w)
 
-    def step(self, rule: Rule, step_fn: StepFn) -> None:
+    def step(self, rule: Rule) -> None:
         """X_{k+2} = f(X_{k+1}) + X_k, written over X_k; then swap roles."""
-        if step_fn is not first_order_step:
-            self._xor_grid(1, step_fn(rule, self.grid(0)))
-        elif self.boxes[0] is not None:
+        if self.boxes[0] is not None:
             new, old = self.planes
             r0, r1, c0, c1 = self.boxes[0]
-            # f grows a box by one per step, so a margin of |n|+1 keeps
-            # rows r0-2..r1+1 and words wa..wb-1 inside the planes
+            # rows r0-2..r1+1 and words wa..wb-1 lie inside the planes
             wa, wb = (c0 - 1) >> 6, (c1 >> 6) + 1
             x = np.ascontiguousarray(new[r0 - 2:r1 + 2, wa:wb]).ravel()
             old[r0 - 1:r1 + 1, wa:wb] ^= _rule_words(
@@ -179,26 +175,6 @@ class _Planes:
         self.planes.reverse()
         self.boxes.reverse()
         self.grids = [None, self.grids[0]]
-
-    def _xor_grid(self, k: int, g: BinaryGrid) -> None:
-        """Plane k ^= g; the planes are reallocated when g leaves them."""
-        if not g:
-            return
-        h, w = g.window.shape
-        r0, c0 = g.origin[0] - self.origin[0], g.origin[1] - self.origin[1]
-        rows, words = self.planes[0].shape
-        if r0 < 0 or c0 < 0 or r0 + h > rows or c0 + w > 64 * words:
-            self._alloc(g)  # a custom step: both grids are unpacked
-            return self._xor_grid(k, g)
-        wa, off = c0 >> 6, c0 & 63
-        buf = np.zeros((h, -(-(off + w) // 64) * 64), dtype=np.uint8)
-        buf[:, off:off + w] = g.window
-        packed = np.packbits(buf, axis=1, bitorder="little").view(_WORD)
-        self.planes[k][r0:r0 + h, wa:wa + packed.shape[1]] ^= packed
-        if self.boxes[k] is None:  # g alone, and g is tight
-            self.boxes[k] = (r0, r0 + h, c0, c0 + w)
-        else:
-            self._retighten(k, r0, r0 + h, c0, c0 + w)
 
     def _retighten(self, k: int, r0: int, r1: int, c0: int, c1: int) -> None:
         """Tight box of plane k, whose cells lie in its old box or the
@@ -230,13 +206,8 @@ class _Planes:
                 self.grids[k] = EMPTY
             else:
                 r0, r1, c0, c1 = box
-                off = c0 & 63
                 words = self.planes[k][r0:r1, c0 >> 6:((c1 - 1) >> 6) + 1]
-                packed = words >> np.uint64(off)  # column c0 to bit 0
-                if off:
-                    packed[:, :-1] |= words[:, 1:] << np.uint64(64 - off)
-                win = np.unpackbits(packed.view(np.uint8), axis=1,
-                                    count=c1 - c0, bitorder="little")
+                win = _unpack(words, c0 & 63, c1 - c0)
                 self.grids[k] = BinaryGrid._tight(win, self.origin[0] + r0,
                                                   self.origin[1] + c0)
         return self.grids[k]
@@ -247,20 +218,31 @@ def _walk(rule: Rule, n: int, s: SecondOrderState, step_fn: StepFn,
     """The one stepping loop: yields the states at steps 0..|n| when
     ``every``, else only the state at step |n|.
 
-    A forward walk runs the recurrence on (current, previous), a backward
-    walk on (previous, current): (a, b) -> (b, f[b]+a) is the same
-    recurrence with the roles of the two planes swapped.
+    With the rule's own ``first_order_step`` the walk runs on ``_Planes``:
+    a forward walk runs the recurrence on (current, previous), a backward
+    walk on (previous, current), since (a, b) -> (b, f[b]+a) is the same
+    recurrence with the roles of the two planes swapped.  A substitute
+    ``step_fn`` may move cells anywhere, so it steps grid by grid with
+    ``second_order_step`` or ``second_order_inverse``.
     """
     if n == 0:
         yield s
         return
     back = n < 0
+    if step_fn is not first_order_step:
+        step = second_order_inverse if back else second_order_step
+        for _ in range(abs(n)):
+            if every:
+                yield s
+            s = step(rule, s, step_fn)
+        yield s
+        return
     planes = (_Planes(s.previous, s.current, -n + 1) if back
               else _Planes(s.current, s.previous, n + 1))
     if every:
         yield s
     for k in range(abs(n)):
-        planes.step(rule, step_fn)
+        planes.step(rule)
         if every or k == abs(n) - 1:
             new, old = planes.grid(0), planes.grid(1)
             yield (SecondOrderState(old, new) if back
@@ -275,8 +257,8 @@ def trajectory(rule: Rule, n: int, s: SecondOrderState | None = None,
     place that walks a lift: ``evolve``, ``trajectory_counts`` and the
     verification suites all iterate it.  Each yielded state holds one
     newly unpacked grid; its other grid is the one yielded a step before.
-    Raises ValueError when a plane would span more than
-    ``MAX_PARSED_WINDOW`` cells.
+    Raises ValueError when a plane of the rule's own walk would span more
+    than ``MAX_PARSED_WINDOW`` cells.
     """
     return _walk(rule, n, single_seed() if s is None else s, step_fn, True)
 

@@ -22,9 +22,9 @@ import numpy as np
 from . import sequences as seq
 from .gf2poly import PolyPair, fib_poly_eval, state_poly_at, transition_poly
 from .grid import (BinaryGrid, SecondOrderState, count_values,
-                   diagonal_extract, shift, swap_x, xor)
-from .rules import (Rule, StepFn, _neighbor_sums, first_order_step,
-                    second_order_inverse, second_order_step, trajectory)
+                   diagonal_extract, shift, swap_x)
+from .rules import (Rule, StepFn, first_order_step, second_order_inverse,
+                    second_order_step, trajectory)
 from .sequences import SeqId
 
 
@@ -72,10 +72,11 @@ def suite_equivalence(n_max: int = 256,
                       step_fn: StepFn = first_order_step) -> SuiteReport:
     """R2, R3, R3' agree as full states from the seed.
 
-    Also checks the lemma that makes them agree: along the R2 trajectory no
-    cell ever sees exactly three occupied orthogonal neighbors, and every
-    cell with exactly one occupied orthogonal neighbor has all four
-    diagonal neighbors empty.
+    Also checks the lemma that makes them agree, stated through the rules
+    on each R2 state c: f_C3(c) = f_C2(c) exactly when no cell has three
+    occupied orthogonal neighbors, and f_C3'(c) = f_C3(c) exactly when
+    every cell with one occupied orthogonal neighbor has all four diagonal
+    neighbors empty.
     """
     name, rng = "equivalence", f"n=0..{n_max}"
     runs = zip(*(trajectory(rule, n_max, step_fn=step_fn)
@@ -85,13 +86,13 @@ def suite_equivalence(n_max: int = 256,
             return _fail(name, rng, f"R3 != R2 at n={n}: {_state_diff(s3, s2)}")
         if s3p != s2:
             return _fail(name, rng, f"R3' != R2 at n={n}: {_state_diff(s3p, s2)}")
-        if s2.current:
-            orth, diag, _, _ = _neighbor_sums(s2.current)
-            if (orth == 3).any():
-                return _fail(name, rng, f"cell with 3 orthogonal neighbors at n={n}")
-            if (diag[orth == 1] != 0).any():
-                return _fail(name, rng,
-                             f"switching cell with diagonal neighbor at n={n}")
+        c2, c3, c3p = (first_order_step(rule, s2.current)
+                       for rule in (Rule.C2, Rule.C3, Rule.C3p))
+        if c3 != c2:
+            return _fail(name, rng, f"cell with 3 orthogonal neighbors at n={n}")
+        if c3p != c3:
+            return _fail(name, rng,
+                         f"switching cell with diagonal neighbor at n={n}")
     return _ok(name, rng)
 
 
@@ -101,11 +102,13 @@ def suite_replication(k_max: int = 6,
 
     Patterns are taken from the first-order seed trajectories; for each k
     every trajectory pattern whose bounding box fits in a 2^k x 2^k square
-    is advanced 2^k steps and compared with the xor of four shifted copies
-    (diagonal shifts for C1, orthogonal for C2), which must be disjoint.
+    is advanced 2^k steps and compared with the xor of four copies, which
+    must be disjoint, shifted by 2^k times the four terms of the rule's
+    transition polynomial T (diagonal for C1, orthogonal for C2).
     """
     name, rng = "replication", f"k=0..{k_max}"
     for rule in (Rule.C1, Rule.C2):
+        T = transition_poly(rule)
         # longest usable prefix of the trajectory: pattern at step m spans 2m+1
         m_top = ((1 << k_max) - 1) // 2
         traj = [BinaryGrid([(0, 0)])]
@@ -113,20 +116,14 @@ def suite_replication(k_max: int = 6,
             traj.append(step_fn(rule, traj[-1]))
         for k in range(k_max + 1):
             d = 1 << k
-            if rule is Rule.C1:
-                shifts = [(-d, -d), (-d, d), (d, -d), (d, d)]
-            else:
-                shifts = [(-d, 0), (d, 0), (0, -d), (0, d)]
             for m, g in enumerate(traj):
                 if 2 * m + 1 > d:
                     break
                 stepped = g
                 for _ in range(d):
                     stepped = step_fn(rule, stepped)
-                copies = [shift(g, dx, dy) for dx, dy in shifts]
-                combined = BinaryGrid()
-                for c in copies:
-                    combined = xor(combined, c)
+                copies = [shift(g, d * a, d * b) for a, b in T]
+                combined = sum(copies, BinaryGrid())  # + is xor
                 if sum(len(c) for c in copies) != len(combined):
                     return _fail(name, rng,
                                  f"rule={rule.value} k={k} pattern step {m}: "
@@ -348,13 +345,17 @@ SUITES = {
 
 #: smallest range argument that checks anything; 0 for suites not listed
 _LEAST_RANGE = {"backward_growth": 1}
+#: largest k of each 2^k suite that runs within 60 s and 1 GiB
+_GREATEST_RANGE = {"replication": 8, "diamond": 10, "backward_growth": 9}
 
 
 def _checked_limit(name: str, limit: int | None) -> int:
-    """The suite's range argument; one below its least value raises."""
+    """The suite's range argument; one outside its bounds raises."""
     limit = SUITES[name][1] if limit is None else limit
     if limit < _LEAST_RANGE.get(name, 0):
         raise ValueError(f"suite {name}: limit {limit} gives an empty range")
+    if limit > (top := _GREATEST_RANGE.get(name, limit)):
+        raise ValueError(f"suite {name}: limit {limit} is above its ceiling {top}")
     return limit
 
 

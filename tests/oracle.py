@@ -1,0 +1,37 @@
+"""The dense neighbor-count stencil: an independent oracle for the rules.
+
+``revca.rules`` runs every rule on bit-packed words; this module counts
+neighbors on a uint8 window instead, so the tests can compare the two.
+"""
+
+import numpy as np
+
+from revca.grid import BinaryGrid
+from revca.rules import Rule
+
+
+def neighbor_sums(g: BinaryGrid) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Orthogonal and diagonal neighbor counts on the window grown by 1."""
+    w = g.window
+    p = np.zeros((w.shape[0] + 4, w.shape[1] + 4), dtype=np.uint8)
+    p[2:-2, 2:-2] = w
+    orth = p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:]
+    diag = p[:-2, :-2] + p[:-2, 2:] + p[2:, :-2] + p[2:, 2:]
+    i0, j0 = g.origin
+    return orth, diag, i0 - 1, j0 - 1
+
+
+def dense_step(rule: Rule, g: BinaryGrid) -> BinaryGrid:
+    """One application of the named first-order rule, by neighbor counts."""
+    if not g:
+        return g
+    orth, diag, i0, j0 = neighbor_sums(g)
+    if rule is Rule.C1:
+        new = diag & 1
+    elif rule is Rule.C2:
+        new = orth & 1
+    elif rule is Rule.C3:
+        new = (orth == 1).astype(np.uint8)
+    else:
+        new = ((orth == 1) & (diag == 0)).astype(np.uint8)
+    return BinaryGrid.from_window(new, i0, j0)

@@ -21,6 +21,8 @@ from revca.rules import (Rule, evolve, first_order_step, second_order_inverse,
 from revca.sequences import SeqId, linear_count, seq_value
 from revca import verify
 
+from oracle import neighbor_sums
+
 TABLE = {
     "R": [1, 5, 9, 21, 25, 29, 41, 85, 89, 61, 65, 109, 121, 125, 169, 341],
     "R1": [1, 4, 5, 16, 9, 20, 21, 64, 25, 36, 29, 80, 41, 84, 85, 256],
@@ -70,8 +72,7 @@ def test_criterion_04_rule_equivalence_with_negative_control():
 
     def corrupted(rule, g):
         if rule is Rule.C3 and g:
-            from revca.rules import _neighbor_sums
-            orth, _, i0, j0 = _neighbor_sums(g)
+            orth, _, i0, j0 = neighbor_sums(g)
             return BinaryGrid.from_window((orth == 2).astype(np.uint8), i0, j0)
         return first_order_step(rule, g)
 

@@ -205,6 +205,17 @@ def test_walk_size_guard_exit_2(capsys, argv):
     assert err.startswith("error:") and "spans more than" in err
 
 
+@pytest.mark.parametrize("suite", ["diamond", "replication",
+                                   "backward_growth", "all"])
+def test_range_ceiling_exit_2(capsys, suite):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--suite", suite, "--max",
+                         str(10**20))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "ceiling" in err
+
+
 def test_load_header_without_count_exit_2(tmp_path, capsys):
     st = tmp_path / "state.txt"
     st.write_text("#bgrid v1\n0 0\n#bgrid v1 count=0\n")

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revca.grid import (BinaryGrid, SecondOrderState, count_values,
@@ -7,6 +7,8 @@ from revca.grid import (BinaryGrid, SecondOrderState, count_values,
 from revca.rules import (Rule, evolve, first_order_step, parse_rule,
                          second_order_inverse, second_order_step, trajectory,
                          trajectory_counts)
+
+from oracle import dense_step
 
 # population table for n = 0..15 from the seed
 TABLE_R = [1, 5, 9, 21, 25, 29, 41, 85, 89, 61, 65, 109, 121, 125, 169, 341]
@@ -91,8 +93,21 @@ wide_grids = st.frozensets(st.tuples(st.integers(-5, 5), wide_cols),
 states = st.builds(SecondOrderState, wide_grids, wide_grids)
 
 
-def lift_steps(rule, n, s, step_fn=first_order_step):
-    """The per-grid reference: iterated second_order_step/inverse."""
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(grids, wide_grids))  # dense and word-crossing grids
+@example(BinaryGrid())
+@example(BinaryGrid([(0, -1), (0, 1), (-1, 0)]))  # three neighbors: W, E, N
+@example(BinaryGrid([(0, 0), (1, 61)]))  # the grown box fills one word
+@example(BinaryGrid([(0, 0), (1, 62)]))  # and one bit more
+@example(BinaryGrid([(-3, -64), (2, -3)]))
+def test_first_order_step_matches_dense_oracle(g):
+    for rule in Rule:
+        assert first_order_step(rule, g) == dense_step(rule, g)
+
+
+def lift_steps(rule, n, s, step_fn=dense_step):
+    """The per-grid reference: iterated second_order_step/inverse, by
+    default with the dense oracle as the rule."""
     step = second_order_step if n >= 0 else second_order_inverse
     out = [s]
     for _ in range(abs(n)):

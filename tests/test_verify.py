@@ -7,12 +7,13 @@ from revca import verify
 from revca.grid import BinaryGrid, shift, xor
 from revca.rules import Rule, first_order_step
 
+from oracle import neighbor_sums
+
 
 def corrupt_c3_threshold_2(rule, g):
     """C3 with its switch-on threshold moved from 1 to 2 neighbors."""
     if rule is Rule.C3 and g:
-        from revca.rules import _neighbor_sums
-        orth, _, i0, j0 = _neighbor_sums(g)
+        orth, _, i0, j0 = neighbor_sums(g)
         return BinaryGrid.from_window((orth == 2).astype(np.uint8), i0, j0)
     return first_order_step(rule, g)
 
@@ -93,6 +94,22 @@ def test_equivalence_negative_control():
     report = verify.suite_equivalence(8, step_fn=corrupt_c3_threshold_2)
     assert not report.passed
     assert report.witness and "n=" in report.witness
+
+
+@pytest.mark.parametrize("corrupt, witness", [
+    # N, S and W only: the seed's three images surround the origin
+    (lambda g: corrupt_c2_missing_neighbor(Rule.C2, g),
+     "cell with 3 orthogonal neighbors at n=1"),
+    # diagonal and orthogonal images: (2, 0) sees only (1, 0) orthogonally
+    (lambda g: xor(first_order_step(Rule.C1, g), first_order_step(Rule.C2, g)),
+     "switching cell with diagonal neighbor at n=1"),
+])
+def test_equivalence_lemma_negative_controls(corrupt, witness):
+    # C2, C3 and C3' all step by the same corrupted rule, so the three
+    # trajectories agree and only the lemma on the R2 states can fail
+    report = verify.suite_equivalence(8, step_fn=lambda rule, g: corrupt(g))
+    assert not report.passed
+    assert report.witness == witness
 
 
 def test_counts_negative_control():
