@@ -22,7 +22,7 @@ from .gf2poly import state_poly_at
 from .grid import (SecondOrderState, count_values, grid_from_text,
                    grid_to_text, single_seed)
 from .render import render
-from .rules import Rule, evolve, parse_rule, trajectory_counts
+from .rules import MAX_SEED_STEPS, Rule, evolve, parse_rule, trajectory_counts
 from .sequences import SeqId
 
 
@@ -103,6 +103,9 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     n_max = args.max
     if n_max < 0:
         raise ValueError(f"--max {n_max} gives an empty table")
+    if (args.check or args.method in ("sim", "poly")) and n_max > MAX_SEED_STEPS:
+        raise ValueError(f"--max {n_max} is above {MAX_SEED_STEPS}, the last "
+                         f"step of the sim and poly columns")
     if args.check:
         ref = _sequence_columns("recursive", n_max)
         for method in ("alt", "sim", "poly"):

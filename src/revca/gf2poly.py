@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .grid import BinaryGrid, _from_text, _to_text
-from .rules import Rule
+from .rules import MAX_SEED_STEPS, Rule
 from .sequences import IndexOutOfRangeError
 
 
@@ -106,10 +106,10 @@ def state_poly_at(rule: Rule, n: int) -> PolyPair:
     """Exact state of the lift of a linear rule after n >= 0 steps.
 
     The pair is (f_{n+1}(T), f_n(T)); converting both members to grids
-    reproduces the simulated state from the single seed.
+    reproduces the simulated state from the seed, for n <= MAX_SEED_STEPS.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if not 0 <= n <= MAX_SEED_STEPS:
+        raise ValueError(f"n={n} is outside 0..{MAX_SEED_STEPS}")
     T = transition_poly(rule)
     fn, fn1 = _fib_pair(T, n)
     return PolyPair(fn1, fn)

@@ -12,20 +12,22 @@ forward or backward and yields every state on the way.
 
 Each rule has one kernel, ``_rule_words``, on bit-packed rows (64 cells
 per word).  ``first_order_step`` runs it on one packed grid; a walk runs
-it in place on two planes allocated once and unpacks a grid only for a
-state it hands out.  The tests check it against a dense neighbor-count
+it in place on two planes allocated once.  Tallies and the coloring
+checks read the planes' words, so a grid is unpacked only for a state
+handed out.  The tests check the kernel against a dense neighbor-count
 stencil, kept there as the independent oracle.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .grid import (EMPTY, MAX_PARSED_WINDOW, BinaryGrid, CountRecord,
-                   SecondOrderState, count_values, single_seed, xor)
+                   SecondOrderState, single_seed, xor)
 
 
 class Rule(enum.Enum):
@@ -127,24 +129,37 @@ def second_order_inverse(rule: Rule, s: SecondOrderState,
                             xor(step_fn(rule, s.previous), s.current))
 
 
+def _popcount(words: np.ndarray) -> int:
+    """Set bits in an array of plane words."""
+    if hasattr(np, "bitwise_count"):  # numpy >= 2
+        return int(np.bitwise_count(words).sum())
+    return int(np.count_nonzero(np.unpackbits(words.view(np.uint8))))
+
+
+#: most steps a walk from the seed takes: its planes span (2|n| + 3)^2 cells
+MAX_SEED_STEPS = (math.isqrt(MAX_PARSED_WINDOW) - 3) // 2
+
+
 class _Planes:
     """The two newest states X_{k+1}, X_k of a walk X_{k+1} = f(X_k) + X_{k-1}
     on two preallocated bit-packed planes (rows along i, bits along j).
 
-    Index 0 is the newest plane.  Each plane keeps its tight box in plane
-    coordinates (r0, r1, c0, c1), half-open, or None when empty, and the
-    BinaryGrid it holds once one has been unpacked.  f grows a box by one
-    per step, so planes over both boxes grown by |n|+1 hold a walk of |n|
-    steps.
+    Index 0 is the newest plane: the current component of a forward walk,
+    the previous one of a backward walk (``back``).  Each plane keeps its
+    tight box in plane coordinates (r0, r1, c0, c1), half-open, or None
+    when empty, and the BinaryGrid it holds once one has been unpacked.
+    f grows a box by one per step, so planes over both boxes grown by
+    |n|+1 hold a walk of |n| steps.
     """
 
-    def __init__(self, newer: BinaryGrid, older: BinaryGrid, margin: int):
-        self.grids: list[BinaryGrid | None] = [newer, older]
+    def __init__(self, s: SecondOrderState, back: bool, margin: int):
+        self.back = back
+        self.grids: list[BinaryGrid | None] = (
+            [s.previous, s.current] if back else [s.current, s.previous])
         boxes = [g.bounds() for g in self.grids if g] or [(0, 0, 0, 0)]
-        i0 = min(b[0] for b in boxes) - margin
-        j0 = min(b[2] for b in boxes) - margin
-        rows = max(b[1] for b in boxes) + margin + 1 - i0
-        cols = max(b[3] for b in boxes) + margin + 1 - j0
+        lo_i, hi_i, lo_j, hi_j = zip(*boxes)
+        i0, j0 = min(lo_i) - margin, min(lo_j) - margin
+        rows, cols = max(hi_i) + margin + 1 - i0, max(hi_j) + margin + 1 - j0
         if rows * cols > MAX_PARSED_WINDOW:
             raise ValueError(f"a walk plane of {rows} x {cols} cells spans "
                              f"more than {MAX_PARSED_WINDOW} cells")
@@ -198,82 +213,90 @@ class _Planes:
         self.boxes[k] = (r0, r1, 64 * wa + (lo & -lo).bit_length() - 1,
                          64 * wb + hi.bit_length())
 
+    def words(self, k: int) -> np.ndarray:
+        """The words of plane k over its nonempty box's rows (a view)."""
+        r0, r1, c0, c1 = self.boxes[k]
+        return self.planes[k][r0:r1, c0 >> 6:((c1 - 1) >> 6) + 1]
+
     def grid(self, k: int) -> BinaryGrid:
         """Plane k as a BinaryGrid, unpacked once."""
-        if self.grids[k] is None:
-            box = self.boxes[k]
-            if box is None:
-                self.grids[k] = EMPTY
-            else:
-                r0, r1, c0, c1 = box
-                words = self.planes[k][r0:r1, c0 >> 6:((c1 - 1) >> 6) + 1]
-                win = _unpack(words, c0 & 63, c1 - c0)
-                self.grids[k] = BinaryGrid._tight(win, self.origin[0] + r0,
-                                                  self.origin[1] + c0)
+        if self.grids[k] is None and self.boxes[k] is None:
+            self.grids[k] = EMPTY
+        elif self.grids[k] is None:
+            r0, _, c0, c1 = self.boxes[k]
+            win = _unpack(self.words(k), c0 & 63, c1 - c0)
+            self.grids[k] = BinaryGrid._tight(win, self.origin[0] + r0,
+                                              self.origin[1] + c0)
         return self.grids[k]
 
+    def state(self) -> SecondOrderState:
+        """The walk's (current, previous) state as grids."""
+        new, old = self.grid(0), self.grid(1)
+        return SecondOrderState(*((old, new) if self.back else (new, old)))
 
-def _walk(rule: Rule, n: int, s: SecondOrderState, step_fn: StepFn,
-          every: bool) -> Iterator[SecondOrderState]:
-    """The one stepping loop: yields the states at steps 0..|n| when
-    ``every``, else only the state at step |n|.
+    def tally(self, n: int) -> CountRecord:
+        """``count_values`` of the state, from popcounts of both planes and
+        of their overlap over the union of the two boxes."""
+        boxes = [b for b in self.boxes if b] or [(0, 0, 0, 0)]
+        r0, r1, c0, c1 = zip(*boxes)
+        new, old = (p[min(r0):max(r1), min(c0) >> 6:((max(c1) - 1) >> 6) + 1]
+                    for p in self.planes)
+        both = _popcount(new & old)
+        a, b = _popcount(new) - both, _popcount(old) - both
+        return CountRecord(n, *((b, a) if self.back else (a, b)), both,
+                           a + b + both)
 
-    With the rule's own ``first_order_step`` the walk runs on ``_Planes``:
-    a forward walk runs the recurrence on (current, previous), a backward
-    walk on (previous, current), since (a, b) -> (b, f[b]+a) is the same
-    recurrence with the roles of the two planes swapped.  A substitute
-    ``step_fn`` may move cells anywhere, so it steps grid by grid with
-    ``second_order_step`` or ``second_order_inverse``.
+
+def _walk(rule: Rule, n: int, s: SecondOrderState,
+          step_fn: StepFn) -> Iterator[_Planes]:
+    """The one stepping loop: yields the walk's planes at steps 0..|n|.
+
+    With the rule's own ``first_order_step`` one ``_Planes`` is stepped in
+    place, so a consumer reads it (``state``, ``tally``, ``words``) before
+    it asks for the next step.  A backward walk runs the recurrence on
+    (previous, current): (a, b) -> (b, f[b]+a) is the forward recurrence
+    with the planes' roles swapped.  A substitute ``step_fn`` may move
+    cells anywhere, so it steps grid by grid and packs each new state
+    into fresh planes that are only read.
     """
-    if n == 0:
-        yield s
-        return
-    back = n < 0
-    if step_fn is not first_order_step:
-        step = second_order_inverse if back else second_order_step
-        for _ in range(abs(n)):
-            if every:
-                yield s
-            s = step(rule, s, step_fn)
-        yield s
-        return
-    planes = (_Planes(s.previous, s.current, -n + 1) if back
-              else _Planes(s.current, s.previous, n + 1))
-    if every:
-        yield s
-    for k in range(abs(n)):
-        planes.step(rule)
-        if every or k == abs(n) - 1:
-            new, old = planes.grid(0), planes.grid(1)
-            yield (SecondOrderState(old, new) if back
-                   else SecondOrderState(new, old))
+    back, own = n < 0, step_fn is first_order_step
+    planes = _Planes(s, back, abs(n) + 1 if own else 0)
+    yield planes
+    step = second_order_inverse if back else second_order_step
+    for _ in range(abs(n)):
+        if own:
+            planes.step(rule)
+        else:
+            planes = _Planes(step(rule, planes.state(), step_fn), back, 0)
+        yield planes
 
 
 def trajectory(rule: Rule, n: int, s: SecondOrderState | None = None,
                step_fn: StepFn = first_order_step) -> Iterator[SecondOrderState]:
     """The states at steps 0..|n| from ``s`` (default: the single seed).
 
-    Steps go forward for n >= 0 and backward for n < 0.  This is the one
-    place that walks a lift: ``evolve``, ``trajectory_counts`` and the
-    verification suites all iterate it.  Each yielded state holds one
-    newly unpacked grid; its other grid is the one yielded a step before.
-    Raises ValueError when a plane of the rule's own walk would span more
-    than ``MAX_PARSED_WINDOW`` cells.
+    Steps go forward for n >= 0 and backward for n < 0, in ``_walk``.
+    Each yielded state holds one newly unpacked grid; its other grid is
+    the one yielded a step before.  Raises ValueError when a plane of the
+    rule's own walk would span more than ``MAX_PARSED_WINDOW`` cells.
     """
-    return _walk(rule, n, single_seed() if s is None else s, step_fn, True)
+    walk = _walk(rule, n, single_seed() if s is None else s, step_fn)
+    return (planes.state() for planes in walk)
 
 
 def evolve(rule: Rule, s: SecondOrderState, n: int,
            step_fn: StepFn = first_order_step) -> SecondOrderState:
     """Apply n forward steps (n >= 0) or |n| inverse steps (n < 0)."""
-    *_, s = _walk(rule, n, s, step_fn, False)
-    return s
+    if n == 0:  # no planes, which a loaded state may be too wide for
+        return s
+    *_, planes = _walk(rule, n, s, step_fn)
+    return planes.state()
 
 
 def trajectory_counts(rule: Rule, n_max: int,
                       step_fn: StepFn = first_order_step) -> list[CountRecord]:
-    """Value tallies along the seed trajectory for n = 0..n_max."""
+    """Tallies of the seed trajectory for n = 0..n_max, read off the planes."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    return [count_values(s, n)
-            for n, s in enumerate(trajectory(rule, n_max, step_fn=step_fn))]
+    return [planes.tally(n) for n, planes
+            in enumerate(_walk(rule, n_max, single_seed(), step_fn))]

@@ -6,8 +6,9 @@ reversibility, polynomial state formula, coloring, sublattice embedding,
 diamond landmarks, backward growth) and returns a :class:`SuiteReport`
 with an explicit witness on failure.
 
-Every suite except ``replication`` walks its lift trajectories with
-:func:`revca.rules.trajectory`.  Every suite takes a ``step_fn`` so tests
+Every suite except ``replication`` walks its lift trajectories with the
+one stepping loop of :mod:`revca.rules`; ``counts`` and ``coloring`` read
+its bit-packed planes.  Every suite takes a ``step_fn`` so tests
 can inject a deliberately corrupted local rule and confirm the suite
 catches it; production callers never pass it.
 """
@@ -15,16 +16,17 @@ catches it; production callers never pass it.
 from __future__ import annotations
 
 import json
+from itertools import pairwise
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import sequences as seq
 from .gf2poly import PolyPair, fib_poly_eval, state_poly_at, transition_poly
-from .grid import (BinaryGrid, SecondOrderState, count_values,
-                   diagonal_extract, shift, swap_x)
-from .rules import (Rule, StepFn, first_order_step, second_order_inverse,
-                    second_order_step, trajectory)
+from .grid import (BinaryGrid, SecondOrderState, diagonal_extract, shift,
+                   single_seed, swap_x)
+from .rules import (Rule, StepFn, _Planes, _walk, first_order_step,
+                    second_order_inverse, second_order_step, trajectory)
 from .sequences import SeqId
 
 
@@ -57,14 +59,13 @@ def suite_counts(n_max: int = 512, step_fn: StepFn = first_order_step) -> SuiteR
     """Simulated tallies of all four lifts match the closed-form recursions."""
     name, rng = "counts", f"n=0..{n_max}"
     for rule in Rule:
-        for n, s in enumerate(trajectory(rule, n_max, step_fn=step_fn)):
-            c = count_values(s, n)
+        for n, planes in enumerate(_walk(rule, n_max, single_seed(), step_fn)):
+            c = planes.tally(n)[1:]  # (r1, r2, r3, total)
             want = (seq.seq_value(SeqId.R1, n), seq.seq_value(SeqId.R2, n),
                     0, seq.seq_value(SeqId.R, n))
-            if (c.r1, c.r2, c.r3, c.total) != want:
-                return _fail(name, rng,
-                             f"rule={rule.value} n={n} counts="
-                             f"{(c.r1, c.r2, c.r3, c.total)} expected {want}")
+            if c != want:
+                return _fail(name, rng, f"rule={rule.value} n={n} "
+                                        f"counts={c} expected {want}")
     return _ok(name, rng)
 
 
@@ -86,11 +87,12 @@ def suite_equivalence(n_max: int = 256,
             return _fail(name, rng, f"R3 != R2 at n={n}: {_state_diff(s3, s2)}")
         if s3p != s2:
             return _fail(name, rng, f"R3' != R2 at n={n}: {_state_diff(s3p, s2)}")
-        c2, c3, c3p = (first_order_step(rule, s2.current)
-                       for rule in (Rule.C2, Rule.C3, Rule.C3p))
-        if c3 != c2:
-            return _fail(name, rng, f"cell with 3 orthogonal neighbors at n={n}")
-        if c3p != c3:
+        # f_C3' <= f_C3 <= f_C2 cell by cell: step C3 only to name a failure
+        c2 = first_order_step(Rule.C2, s2.current)
+        if first_order_step(Rule.C3p, s2.current) != c2:
+            if first_order_step(Rule.C3, s2.current) != c2:
+                return _fail(name, rng,
+                             f"cell with 3 orthogonal neighbors at n={n}")
             return _fail(name, rng,
                          f"switching cell with diagonal neighbor at n={n}")
     return _ok(name, rng)
@@ -175,16 +177,12 @@ def suite_polynomial(n_max: int = 128,
                              f"differs from simulation")
     T1 = transition_poly(Rule.C1)
     for k in range(n_max.bit_length()):
-        d = 1 << k
-        for j in range(1, d + 1):
-            if d + j > n_max:
-                break
+        d = 1 << k  # every n = d + j checked is at most n_max
+        for j in range(1, min(d, n_max - d) + 1):
             w = _five_pattern_witness(T1, k, j)
             if w:
                 return _fail(name, rng, w)
-        for j in range(d):
-            if d + j > n_max:
-                break
+        for j in range(min(d, n_max - d + 1)):
             for rule in (Rule.C1, Rule.C2):
                 if _pair_composition(rule, k, j) is None:
                     return _fail(name, rng,
@@ -219,6 +217,24 @@ def _five_pattern_witness(T1, k: int, j: int) -> str | None:
     return None
 
 
+#: a plane word with a bit at every even column; ~ marks the odd ones
+_EVEN_BITS = np.uint64(0x5555555555555555)
+
+
+def _off_lattice(planes: _Planes, k: int, par: int, coset: bool) -> bool:
+    """Whether plane k holds a cell off the checkerboard i + j = par mod 2,
+    or, with ``coset``, off the coset i = j = par mod 2."""
+    if planes.boxes[k] is None:
+        return False
+    words, (i0, j0) = planes.words(k), planes.origin
+    i = i0 + planes.boxes[k][0] + np.arange(len(words))
+    # bit c of a row i is column j0 + c: the checkerboard admits c = par +
+    # j0 + i mod 2, the coset c = par + j0 mod 2 in rows i = par mod 2 only
+    odd = (par + j0 + i * (not coset)) & 1
+    bad = words & np.where(odd == 1, _EVEN_BITS, ~_EVEN_BITS)[:, None]
+    return bool(bad.any() or coset and words[(i + par) & 1 == 1].any())
+
+
 def suite_coloring(n_max: int = 256,
                    step_fn: StepFn = first_order_step) -> SuiteReport:
     """Checkerboard separation of value-1 and value-2 cells.
@@ -227,25 +243,22 @@ def suite_coloring(n_max: int = 256,
     value-2 cells on the opposite parity, swapping every step.  R1: both
     components stay on the even diagonal sublattice, with value-1 cells at
     coordinates (n mod 2, n mod 2) mod 2 and value-2 on the complementary
-    coset.
+    coset.  The checks read the walks' planes: no grid is unpacked.
     """
     name, rng = "coloring", f"n=0..{n_max}"
-    runs = zip(trajectory(Rule.C1, n_max, step_fn=step_fn),
-               trajectory(Rule.C2, n_max, step_fn=step_fn))
-    for n, (s1, s2) in enumerate(runs):
-        for s, rule in ((s1, "R1"), (s2, "R2")):
-            if count_values(s, n).r3:
+    runs = zip(_walk(Rule.C1, n_max, single_seed(), step_fn),
+               _walk(Rule.C2, n_max, single_seed(), step_fn))
+    for n, (p1, p2) in enumerate(runs):
+        for p, rule in ((p1, "R1"), (p2, "R2")):
+            if p.tally(n).r3:
                 return _fail(name, rng, f"{rule} n={n}: value-3 cell present")
-        for comp, par in ((s2.current, n & 1), (s2.previous, (n + 1) & 1)):
-            ii, jj = comp.index_arrays()
-            if len(ii) and not np.all((ii + jj) % 2 == par):
+        # forward walks: plane 0 is the current component, plane 1 previous
+        for p, rule, coset, lattice in (
+                (p2, "R2", False, "checkerboard parity"),
+                (p1, "R1", True, "sublattice coset")):
+            if any(_off_lattice(p, k, (n + k) & 1, coset) for k in (0, 1)):
                 return _fail(name, rng,
-                             f"R2 n={n}: component off its checkerboard parity")
-        for comp, par in ((s1.current, n & 1), (s1.previous, (n + 1) & 1)):
-            ii, jj = comp.index_arrays()
-            if len(ii) and not (np.all(ii % 2 == par) and np.all(jj % 2 == par)):
-                return _fail(name, rng,
-                             f"R1 n={n}: component off its sublattice coset")
+                             f"{rule} n={n}: component off its {lattice}")
     return _ok(name, rng)
 
 
@@ -277,17 +290,19 @@ def suite_diamond(k_max: int = 5,
                   step_fn: StepFn = first_order_step) -> SuiteReport:
     """At n = 2^k - 1 the R1 value-1 cells form the 4^k checkerboard diamond."""
     name, rng = "diamond", f"k=0..{k_max}"
-    for target, s in enumerate(trajectory(Rule.C1, (1 << k_max) - 1,
-                                          step_fn=step_fn)):
+    walk = _walk(Rule.C1, (1 << k_max) - 1, single_seed(), step_fn)
+    for target, planes in enumerate(walk):
         if target & (target + 1):  # not of the form 2^k - 1
             continue
-        k = target.bit_length()
-        ones = s.current.cells()
+        k, ones = target.bit_length(), planes.grid(0)  # forward: current
         if len(ones) != 4 ** k:
             return _fail(name, rng, f"k={k}: |value-1| = {len(ones)} != 4^{k}")
         if seq.seq_value(SeqId.R1, target) != 4 ** k:
             return _fail(name, rng, f"k={k}: R1(2^{k}-1) != 4^{k}")
-        if ones != diamond_cells(target):
+        # 4^k cells filling the checkerboard window of diamond_cells(target)
+        w, side = ones.window, 2 * target + 1
+        if (ones.origin != (-target, -target) or w.shape != (side, side)
+                or not w[::2, ::2].all()):
             return _fail(name, rng, f"k={k}: value-1 set is not the "
                                     f"predicted checkerboard diamond")
     for k in range(9):
@@ -310,11 +325,10 @@ def suite_backward_growth(k_max: int = 6,
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     name, rng = "backward_growth", f"k=1..{k_max}"
-    # F(X C_i) = X C_{i-1}, checked by direct simulation
-    traj = list(trajectory(Rule.C1, 1 << k_max, step_fn=step_fn))
-    for i in range(1, len(traj)):
-        if (second_order_step(Rule.C1, swap_x(traj[i]), step_fn)
-                != swap_x(traj[i - 1])):
+    # F(X C_i) = X C_{i-1} on consecutive states (before, s) = (C_{i-1}, C_i)
+    pairs = pairwise(trajectory(Rule.C1, 1 << k_max, step_fn=step_fn))
+    for i, (before, s) in enumerate(pairs, 1):
+        if second_order_step(Rule.C1, swap_x(s), step_fn) != swap_x(before):
             return _fail(name, rng, f"F(X C_{i}) != X C_{i - 1}")
     for k in range(1, k_max + 1):
         for j in range(1 << k):

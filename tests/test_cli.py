@@ -205,6 +205,19 @@ def test_walk_size_guard_exit_2(capsys, argv):
     assert err.startswith("error:") and "spans more than" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("sequence", "--method", "poly", "--max", "100000000"),
+    ("sequence", "--check", "--max", "100000000"),
+    ("sequence", "--method", "sim", "--max", "100000000"),
+])
+def test_sequence_size_guard_exit_2(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "8190" in err
+
+
 @pytest.mark.parametrize("suite", ["diamond", "replication",
                                    "backward_growth", "all"])
 def test_range_ceiling_exit_2(capsys, suite):
@@ -214,6 +227,15 @@ def test_range_ceiling_exit_2(capsys, suite):
     assert time.perf_counter() - t0 < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error:") and "ceiling" in err
+
+
+def test_zero_steps_of_a_state_wider_than_a_plane(tmp_path, capsys):
+    # no step runs, so no walk plane is built for the 20001^2-cell box
+    st = tmp_path / "state.txt"
+    st.write_text("#bgrid v1 count=1\n0 0\n#bgrid v1 count=1\n20000 20000\n")
+    code, out, _ = run(capsys, "simulate", "--rule", "R1", "--steps", "0",
+                       "--load", str(st))
+    assert code == 0 and out == "n=0 R1=1 R2=1 R3=0 R=2\n"
 
 
 def test_load_header_without_count_exit_2(tmp_path, capsys):

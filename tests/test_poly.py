@@ -146,6 +146,9 @@ def test_state_poly_base_cases():
         assert state_poly_at(rule, 1) == (transition_poly(rule), ONE)
     with pytest.raises(NonlinearRuleError):
         state_poly_at(Rule.C3, 2)
+    for n in (-1, 8191):  # a walk from the seed takes at most 8190 steps
+        with pytest.raises(ValueError, match="8190"):
+            state_poly_at(Rule.C2, n)
 
 
 def test_state_poly_counts_at_7():

@@ -1,12 +1,13 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from revca.grid import (BinaryGrid, SecondOrderState, count_values,
+from revca.grid import (EMPTY, BinaryGrid, SecondOrderState, count_values,
                         diagonal_extract, shift, single_seed, swap_x, xor)
-from revca.rules import (Rule, evolve, first_order_step, parse_rule,
-                         second_order_inverse, second_order_step, trajectory,
-                         trajectory_counts)
+from revca.rules import (Rule, _popcount, _walk, evolve, first_order_step,
+                         parse_rule, second_order_inverse, second_order_step,
+                         trajectory, trajectory_counts)
 
 from oracle import dense_step
 
@@ -163,6 +164,45 @@ def test_walk_grows_planes_for_a_drifting_step_fn(rule, n):
     assert want[-1].current.bounds()[3] > 2 * abs(n) + 64
     assert list(trajectory(rule, n, s, drifting)) == want
     assert evolve(rule, s, n, drifting) == want[-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(states, st.integers(-70, 70))
+@example(SecondOrderState(EMPTY, EMPTY), 3)
+@example(SecondOrderState(EMPTY, BinaryGrid([(0, 63), (2, 64)])), -5)
+@example(SecondOrderState(BinaryGrid([(0, -65)]), BinaryGrid([(0, -65)])), 9)
+def test_tally_matches_count_values(s, n):
+    # forward and backward walks; the boxes cross word edges as they grow
+    for rule in Rule:
+        for k, planes in enumerate(_walk(rule, n, s, first_order_step)):
+            assert planes.tally(k) == count_values(planes.state(), k)
+
+
+@pytest.mark.parametrize("n", [-6, 6])
+def test_tally_of_substitute_step_fn_planes(n):
+    def displaced(rule, g):
+        return shift(first_order_step(rule, g), 0, 1)
+
+    s = SecondOrderState(BinaryGrid([(0, 0), (1, 63)]), BinaryGrid([(0, 0)]))
+    recs = [p.tally(k) for k, p in enumerate(_walk(Rule.C2, n, s, displaced))]
+    want = lift_steps(Rule.C2, n, s, displaced)
+    assert recs == [count_values(w, k) for k, w in enumerate(want)]
+
+
+def test_popcount_fallback_matches_bitwise_count(monkeypatch):
+    rng = np.random.default_rng(7)
+    words = rng.integers(0, 2**64, size=(9, 5), dtype=np.uint64)
+    words[0] = 0
+    words[1] = np.uint64(2**64 - 1)
+    view = words[:, 1:4]  # not contiguous, as a box of a plane is
+    want = sum(bin(w).count("1") for w in view.ravel().tolist())
+    if hasattr(np, "bitwise_count"):
+        assert int(np.bitwise_count(view).sum()) == want
+    assert _popcount(view) == want
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    assert not hasattr(np, "bitwise_count")
+    assert _popcount(view) == want
+    assert _popcount(words[:0]) == 0
 
 
 def test_trajectory_counts_table():

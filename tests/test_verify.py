@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from revca import verify
-from revca.grid import BinaryGrid, shift, xor
-from revca.rules import Rule, first_order_step
+from revca.grid import EMPTY, BinaryGrid, SecondOrderState, shift, xor
+from revca.rules import Rule, _Planes, first_order_step
 
 from oracle import neighbor_sums
 
@@ -38,10 +40,19 @@ def corrupt_c1_with_center(rule, g):
 
 
 def corrupt_c1_displaced(rule, g):
-    """C1 whose result lands one column to the right."""
+    """C1 whose result lands one row down (i + 1)."""
     if rule is Rule.C1:
         return shift(first_order_step(rule, g), 1, 0)
     return first_order_step(rule, g)
+
+
+def displaced(moved, di, dj):
+    """The rules, with the results of ``moved`` translated by (di, dj)."""
+    def step(rule, g):
+        out = first_order_step(rule, g)
+        return shift(out, di, dj) if rule is moved else out
+    step.__name__ = f"{moved.value}_displaced_by_{di}_{dj}"
+    return step
 
 
 def drifting_c1(calls_before_drift):
@@ -151,11 +162,49 @@ def test_polynomial_negative_control():
     # the origin turns on again on top of its previous value
     (corrupt_c1_with_center, "R1 n=1: value-3 cell present"),
     (corrupt_c1_displaced, "R1 n=1: component off its sublattice coset"),
+    # one bit column over: caught by the R1 column masks, not its rows
+    (displaced(Rule.C1, 0, 1), "R1 n=1: component off its sublattice coset"),
+    # the planes of a substitute rule start at the union box, here (-1, 0),
+    # so the R2 mask phase has an odd origin term; one column over puts a
+    # cell of the cross on the seed, three columns over miss it
+    (displaced(Rule.C2, 0, 1), "R2 n=1: value-3 cell present"),
+    (displaced(Rule.C2, 0, 3), "R2 n=1: component off its checkerboard parity"),
 ])
 def test_coloring_negative_control(step_fn, witness):
     report = verify.suite_coloring(8, step_fn=step_fn)
     assert not report.passed
     assert report.witness == witness
+
+
+def dense_off_lattice(g, par, coset):
+    """The cell-list form of ``verify._off_lattice`` on one grid."""
+    ii, jj = g.index_arrays()
+    if coset:
+        return bool(np.any(ii % 2 != par) or np.any(jj % 2 != par))
+    return bool(np.any((ii + jj) % 2 != par))
+
+
+# columns around the 64-bit word edges of the planes, negative ones included
+edge_grids = st.frozensets(
+    st.tuples(st.integers(-5, 5),
+              st.one_of(st.integers(-70, 70),
+                        st.sampled_from([-65, -64, -1, 63, 64, 127]))),
+    max_size=12).map(BinaryGrid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_grids, edge_grids, st.booleans(), st.integers(0, 3))
+@example(EMPTY, EMPTY, False, 0)
+@example(BinaryGrid([(0, 1)]), EMPTY, False, 0)  # odd plane origin (0, 1)
+@example(BinaryGrid([(1, 0), (0, 63)]), BinaryGrid([(-1, 64)]), True, 1)
+def test_off_lattice_matches_cell_lists(a, b, back, margin):
+    # the margin moves the plane origin, so both parities of i0 + j0 occur
+    planes = _Planes(SecondOrderState(a, b), back, margin)
+    for k in (0, 1):
+        for par in (0, 1):
+            for coset in (False, True):
+                assert verify._off_lattice(planes, k, par, coset) == \
+                    dense_off_lattice(planes.grid(k), par, coset)
 
 
 def test_sublattice_negative_control():
@@ -171,8 +220,9 @@ def test_diamond_negative_control():
 
 
 def test_backward_growth_negative_control():
-    # the forward walk to 2^3 takes 8 calls; the rule drifts after them
-    report = verify.suite_backward_growth(3, step_fn=drifting_c1(8))
+    # the check of each step follows that step of the walk: the rule
+    # drifts after the walk's first step, before the check of C_1
+    report = verify.suite_backward_growth(3, step_fn=drifting_c1(1))
     assert not report.passed
     assert report.witness == "F(X C_1) != X C_0"
 
