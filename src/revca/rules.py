@@ -54,6 +54,8 @@ def parse_rule(name: str) -> Rule:
 #: plane word dtype: bit k of word w in a row is column 64 w + k
 _WORD = np.dtype("<u8")
 _1, _63 = np.uint64(1), np.uint64(63)
+#: a plane word with a bit at every even column; ~ marks the odd ones
+_EVEN_BITS = np.uint64(0x5555555555555555)
 
 
 def _rule_words(rule: Rule, x: np.ndarray, nw: int) -> np.ndarray:
@@ -218,6 +220,19 @@ class _Planes:
         r0, r1, c0, c1 = self.boxes[k]
         return self.planes[k][r0:r1, c0 >> 6:((c1 - 1) >> 6) + 1]
 
+    def off_lattice(self, k: int, par: int, coset: bool) -> bool:
+        """Whether plane k holds a cell off the checkerboard i + j = par
+        mod 2, or, with ``coset``, off the coset i = j = par mod 2."""
+        if self.boxes[k] is None:
+            return False
+        words, (i0, j0) = self.words(k), self.origin
+        i = i0 + self.boxes[k][0] + np.arange(len(words))
+        # bit c of a row i is column j0 + c: the checkerboard admits c = par +
+        # j0 + i mod 2, the coset c = par + j0 mod 2 in rows i = par mod 2 only
+        odd = (par + j0 + i * (not coset)) & 1
+        bad = words & np.where(odd == 1, _EVEN_BITS, ~_EVEN_BITS)[:, None]
+        return bool(bad.any() or coset and words[(i + par) & 1 == 1].any())
+
     def grid(self, k: int) -> BinaryGrid:
         """Plane k as a BinaryGrid, unpacked once."""
         if self.grids[k] is None and self.boxes[k] is None:
@@ -252,8 +267,8 @@ def _walk(rule: Rule, n: int, s: SecondOrderState,
     """The one stepping loop: yields the walk's planes at steps 0..|n|.
 
     With the rule's own ``first_order_step`` one ``_Planes`` is stepped in
-    place, so a consumer reads it (``state``, ``tally``, ``words``) before
-    it asks for the next step.  A backward walk runs the recurrence on
+    place, so a consumer reads it (``state``, ``tally``, ``off_lattice``)
+    before it asks for the next step.  A backward walk runs the recurrence on
     (previous, current): (a, b) -> (b, f[b]+a) is the forward recurrence
     with the planes' roles swapped.  A substitute ``step_fn`` may move
     cells anywhere, so it steps grid by grid and packs each new state

@@ -6,10 +6,11 @@ reversibility, polynomial state formula, coloring, sublattice embedding,
 diamond landmarks, backward growth) and returns a :class:`SuiteReport`
 with an explicit witness on failure.
 
-Every suite except ``replication`` walks its lift trajectories with the
-one stepping loop of :mod:`revca.rules`; ``counts`` and ``coloring`` read
-its bit-packed planes.  Every suite takes a ``step_fn`` so tests
-can inject a deliberately corrupted local rule and confirm the suite
+Every suite derives each state it checks once.  The lift trajectories
+come from the one stepping loop of :mod:`revca.rules`, whose bit-packed
+planes ``counts`` and ``coloring`` read; ``replication`` steps one
+first-order seed trajectory per rule.  Every suite takes a ``step_fn`` so
+tests can inject a deliberately corrupted local rule and confirm the suite
 catches it; production callers never pass it.
 """
 
@@ -19,14 +20,13 @@ import json
 from itertools import pairwise
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from . import sequences as seq
 from .gf2poly import PolyPair, fib_poly_eval, state_poly_at, transition_poly
-from .grid import (BinaryGrid, SecondOrderState, diagonal_extract, shift,
-                   single_seed, swap_x)
-from .rules import (Rule, StepFn, _Planes, _walk, first_order_step,
-                    second_order_inverse, second_order_step, trajectory)
+from .grid import (EMPTY, BinaryGrid, SecondOrderState, diagonal_extract,
+                   shift, single_seed, swap_x)
+from .rules import (MAX_SEED_STEPS, Rule, StepFn, _walk, first_order_step,
+                    second_order_inverse, second_order_step, trajectory,
+                    trajectory_counts)
 from .sequences import SeqId
 
 
@@ -59,8 +59,8 @@ def suite_counts(n_max: int = 512, step_fn: StepFn = first_order_step) -> SuiteR
     """Simulated tallies of all four lifts match the closed-form recursions."""
     name, rng = "counts", f"n=0..{n_max}"
     for rule in Rule:
-        for n, planes in enumerate(_walk(rule, n_max, single_seed(), step_fn)):
-            c = planes.tally(n)[1:]  # (r1, r2, r3, total)
+        for n, rec in enumerate(trajectory_counts(rule, n_max, step_fn)):
+            c = rec[1:]  # (r1, r2, r3, total)
             want = (seq.seq_value(SeqId.R1, n), seq.seq_value(SeqId.R2, n),
                     0, seq.seq_value(SeqId.R, n))
             if c != want:
@@ -102,39 +102,43 @@ def suite_replication(k_max: int = 6,
                       step_fn: StepFn = first_order_step) -> SuiteReport:
     """First-order C1/C2 replicate any 2^k-boxed pattern into 4 disjoint copies.
 
-    Patterns are taken from the first-order seed trajectories; for each k
-    every trajectory pattern whose bounding box fits in a 2^k x 2^k square
-    is advanced 2^k steps and compared with the xor of four copies, which
-    must be disjoint, shifted by 2^k times the four terms of the rule's
-    transition polynomial T (diagonal for C1, orthogonal for C2).
+    The patterns are the states f^m(seed) of the first-order seed
+    trajectory; pattern m spans 2m + 1.  Each one that fits in a 2^k x 2^k
+    square must, 2^k steps later, equal the xor of four copies, which must
+    be disjoint, shifted by 2^k times the four terms of the rule's
+    transition polynomial T (diagonal for C1, orthogonal for C2).  That
+    state is step 2^k + m of the same trajectory, so one trajectory per
+    rule, to step 2^k_max + (2^k_max - 1) // 2, derives every state once.
     """
     name, rng = "replication", f"k=0..{k_max}"
+    m_top = ((1 << k_max) - 1) // 2  # the last pattern that fits in 2^k_max
     for rule in (Rule.C1, Rule.C2):
-        T = transition_poly(rule)
-        # longest usable prefix of the trajectory: pattern at step m spans 2m+1
-        m_top = ((1 << k_max) - 1) // 2
-        traj = [BinaryGrid([(0, 0)])]
-        for _ in range(m_top):
-            traj.append(step_fn(rule, traj[-1]))
-        for k in range(k_max + 1):
-            d = 1 << k
-            for m, g in enumerate(traj):
-                if 2 * m + 1 > d:
-                    break
-                stepped = g
-                for _ in range(d):
-                    stepped = step_fn(rule, stepped)
-                copies = [shift(g, d * a, d * b) for a, b in T]
-                combined = sum(copies, BinaryGrid())  # + is xor
-                if sum(len(c) for c in copies) != len(combined):
-                    return _fail(name, rng,
-                                 f"rule={rule.value} k={k} pattern step {m}: "
-                                 f"copies overlap")
-                if stepped != combined:
-                    return _fail(name, rng,
-                                 f"rule={rule.value} k={k} pattern step {m}: "
-                                 f"2^k steps != four copies")
+        T, g = transition_poly(rule), BinaryGrid([(0, 0)])
+        patterns = [g]
+        for n in range(1, (1 << k_max) + m_top + 1):
+            g = step_fn(rule, g)
+            if n <= m_top:
+                patterns.append(g)
+            k = n.bit_length() - 1  # n = 2^k + m with 0 <= m < 2^k
+            m = n - (1 << k)
+            if 2 * m + 1 > 1 << k:  # pattern m does not fit in 2^k
+                continue
+            copies = _copies(T, 1 << k, patterns[m])
+            if copies is None:
+                return _fail(name, rng, f"rule={rule.value} k={k} pattern "
+                                        f"step {m}: copies overlap")
+            if g != copies:
+                return _fail(name, rng, f"rule={rule.value} k={k} pattern "
+                                        f"step {m}: 2^k steps != four copies")
     return _ok(name, rng)
+
+
+def _copies(T: BinaryGrid, d: int, g: BinaryGrid) -> BinaryGrid | None:
+    """g shifted by d times each term of T, xored together: T^d g over
+    GF(2) for d a power of two; None when two of the copies overlap."""
+    copies = [shift(g, d * a, d * b) for a, b in T]
+    combined = sum(copies, EMPTY)  # + is xor: overlaps cancel
+    return combined if len(combined) == len(g) * len(copies) else None
 
 
 def suite_reversibility(n_max: int = 256,
@@ -205,34 +209,13 @@ def _pair_composition(rule: Rule, k: int, j: int) -> PolyPair | None:
 def _five_pattern_witness(T1, k: int, j: int) -> str | None:
     """Check f_{2^k+j} = T^{2^k} f_j + f_{2^k-j} over T_C1 with 5 disjoint parts."""
     d = 1 << k
-    fj = fib_poly_eval(T1, j)
+    outer = _copies(T1, d, fib_poly_eval(T1, j))
     central = fib_poly_eval(T1, d - j)
-    parts = [fj.shift_exponents(sx * d, sy * d)
-             for sx in (-1, 1) for sy in (-1, 1)] + [central]
-    combined = sum(parts, BinaryGrid())  # + is xor: overlaps cancel
-    if sum(len(p) for p in parts) != len(combined):
+    if outer is None or len(outer + central) != len(outer) + len(central):
         return f"n=2^{k}+{j}: five-pattern supports overlap"
-    if combined != fib_poly_eval(T1, d + j):
+    if outer + central != fib_poly_eval(T1, d + j):
         return f"n=2^{k}+{j}: five-pattern union != f_n"
     return None
-
-
-#: a plane word with a bit at every even column; ~ marks the odd ones
-_EVEN_BITS = np.uint64(0x5555555555555555)
-
-
-def _off_lattice(planes: _Planes, k: int, par: int, coset: bool) -> bool:
-    """Whether plane k holds a cell off the checkerboard i + j = par mod 2,
-    or, with ``coset``, off the coset i = j = par mod 2."""
-    if planes.boxes[k] is None:
-        return False
-    words, (i0, j0) = planes.words(k), planes.origin
-    i = i0 + planes.boxes[k][0] + np.arange(len(words))
-    # bit c of a row i is column j0 + c: the checkerboard admits c = par +
-    # j0 + i mod 2, the coset c = par + j0 mod 2 in rows i = par mod 2 only
-    odd = (par + j0 + i * (not coset)) & 1
-    bad = words & np.where(odd == 1, _EVEN_BITS, ~_EVEN_BITS)[:, None]
-    return bool(bad.any() or coset and words[(i + par) & 1 == 1].any())
 
 
 def suite_coloring(n_max: int = 256,
@@ -256,7 +239,7 @@ def suite_coloring(n_max: int = 256,
         for p, rule, coset, lattice in (
                 (p2, "R2", False, "checkerboard parity"),
                 (p1, "R1", True, "sublattice coset")):
-            if any(_off_lattice(p, k, (n + k) & 1, coset) for k in (0, 1)):
+            if any(p.off_lattice(k, (n + k) & 1, coset) for k in (0, 1)):
                 return _fail(name, rng,
                              f"{rule} n={n}: component off its {lattice}")
     return _ok(name, rng)
@@ -294,7 +277,7 @@ def suite_diamond(k_max: int = 5,
     for target, planes in enumerate(walk):
         if target & (target + 1):  # not of the form 2^k - 1
             continue
-        k, ones = target.bit_length(), planes.grid(0)  # forward: current
+        k, ones = target.bit_length(), planes.state().current
         if len(ones) != 4 ** k:
             return _fail(name, rng, f"k={k}: |value-1| = {len(ones)} != 4^{k}")
         if seq.seq_value(SeqId.R1, target) != 4 ** k:
@@ -359,8 +342,10 @@ SUITES = {
 
 #: smallest range argument that checks anything; 0 for suites not listed
 _LEAST_RANGE = {"backward_growth": 1}
-#: largest k of each 2^k suite that runs within 60 s and 1 GiB
-_GREATEST_RANGE = {"replication": 8, "diamond": 10, "backward_growth": 9}
+#: largest k of each 2^k suite that runs within 60 s and 1 GiB; diamond's
+#: is the walk's own bound, the last 2^k - 1 <= MAX_SEED_STEPS
+_GREATEST_RANGE = {"replication": 10, "backward_growth": 9,
+                   "diamond": (MAX_SEED_STEPS + 1).bit_length() - 1}
 
 
 def _checked_limit(name: str, limit: int | None) -> int:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revca import verify
+from revca.gf2poly import transition_poly
 from revca.grid import EMPTY, BinaryGrid, SecondOrderState, shift, xor
 from revca.rules import Rule, _Planes, first_order_step
 
@@ -132,6 +133,55 @@ def test_counts_negative_control():
 def test_replication_negative_control():
     report = verify.suite_replication(3, step_fn=corrupt_c2_missing_neighbor)
     assert not report.passed
+    assert report.witness == \
+        "rule=C2 k=0 pattern step 0: 2^k steps != four copies"
+
+
+def test_replication_negative_control_c1():
+    report = verify.suite_replication(3, step_fn=corrupt_c1_with_center)
+    assert not report.passed
+    assert report.witness == \
+        "rule=C1 k=0 pattern step 0: 2^k steps != four copies"
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_replication_steps_one_trajectory_per_rule(k):
+    # the state 2^k steps after pattern m is step 2^k + m of the same
+    # trajectory, so each rule steps once per step up to the last one read
+    calls = []
+
+    def counting(rule, g):
+        calls.append(rule)
+        return first_order_step(rule, g)
+
+    assert verify.suite_replication(k, step_fn=counting).passed
+    assert len(calls) == 2 * ((1 << k) + ((1 << k) - 1) // 2)
+
+
+@st.composite
+def boxed_grids(draw):
+    """(k, g) with the bounding box of g at most 2^k on each side."""
+    k = draw(st.integers(0, 4))
+    i0, j0 = draw(st.integers(-40, 40)), draw(st.integers(-40, 40))
+    cells = draw(st.frozensets(st.tuples(st.integers(0, (1 << k) - 1),
+                                         st.integers(0, (1 << k) - 1))))
+    return k, BinaryGrid((i0 + i, j0 + j) for i, j in cells)
+
+
+@settings(max_examples=100, deadline=None)
+@given(boxed_grids(), st.sampled_from([Rule.C1, Rule.C2]))
+def test_copies_is_the_product_with_t_to_the_2k(kg, rule):
+    k, g = kg
+    T = transition_poly(rule)
+    assert verify._copies(T, 1 << k, g) == T.pow_2k(k) * g
+
+
+@pytest.mark.parametrize("rule", [Rule.C1, Rule.C2])
+def test_copies_overlap_is_none(rule):
+    # one empty column between the two cells: the copies shifted by
+    # (., -1) and (., +1) both cover the column between them
+    g = BinaryGrid([(0, 0), (0, 2)])
+    assert verify._copies(transition_poly(rule), 1, g) is None
 
 
 def test_reversibility_negative_control():
@@ -177,7 +227,7 @@ def test_coloring_negative_control(step_fn, witness):
 
 
 def dense_off_lattice(g, par, coset):
-    """The cell-list form of ``verify._off_lattice`` on one grid."""
+    """The cell-list form of ``_Planes.off_lattice`` on one grid."""
     ii, jj = g.index_arrays()
     if coset:
         return bool(np.any(ii % 2 != par) or np.any(jj % 2 != par))
@@ -203,7 +253,7 @@ def test_off_lattice_matches_cell_lists(a, b, back, margin):
     for k in (0, 1):
         for par in (0, 1):
             for coset in (False, True):
-                assert verify._off_lattice(planes, k, par, coset) == \
+                assert planes.off_lattice(k, par, coset) == \
                     dense_off_lattice(planes.grid(k), par, coset)
 
 
