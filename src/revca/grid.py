@@ -291,13 +291,25 @@ def count_values(s: SecondOrderState, n: int = 0) -> CountRecord:
 
 # --- text interchange format ------------------------------------------------
 # '#bgrid v1 count=N' and '#lpoly v1 terms=N' share one layout: the header,
-# then one 'i j' line per cell in sorted order.
+# then one 'i j' line per cell in sorted order.  The writer formats one
+# ' j\n' label per occupied column and one str(i) per occupied row, and
+# writes a row as str(i).join over its cells' labels.  Coordinates are the
+# Python-int origin plus an offset, so they stay exact past int64, and a
+# wide window costs one boolean row, not a Python object per column.
 
 def _to_text(g: BinaryGrid, tag: str, key: str) -> str:
-    ii, jj = g.index_arrays()  # row-major, i.e. sorted (i, j) order
-    lines = [f"{tag} v1 {key}={len(ii)}"]
-    lines.extend(f"{i} {j}" for i, j in zip(ii.tolist(), jj.tolist()))
-    return "\n".join(lines) + "\n"
+    cols = np.flatnonzero(g._a.any(axis=0))
+    sub = g._a[:, cols]
+    per_row = np.count_nonzero(sub, axis=1)
+    rows = np.flatnonzero(per_row)
+    labels = np.array([f" {g._jmin + c}\n" for c in cols.tolist()],
+                      dtype=object)[np.nonzero(sub)[1]].tolist()
+    out, s = [f"{tag} v1 {key}={len(labels)}\n"], 0
+    for r, e in zip(rows.tolist(), np.cumsum(per_row[rows]).tolist()):
+        i = str(g._imin + r)
+        out += (i, i.join(labels[s:e]))
+        s = e
+    return "".join(out)
 
 
 #: largest bounding box, in cells, that a parsed block (256 MiB as a

@@ -1,7 +1,8 @@
-"""The dense neighbor-count stencil: an independent oracle for the rules.
+"""Slow, independent oracles that the tests compare the fast paths with.
 
-``revca.rules`` runs every rule on bit-packed words; this module counts
-neighbors on a uint8 window instead, so the tests can compare the two.
+``revca.rules`` runs every rule on bit-packed words; :func:`dense_step`
+counts neighbors on a uint8 window instead.  ``revca.grid`` writes text
+row by row; :func:`cell_text` formats one line per cell.
 """
 
 import numpy as np
@@ -35,3 +36,11 @@ def dense_step(rule: Rule, g: BinaryGrid) -> BinaryGrid:
     else:
         new = ((orth == 1) & (diag == 0)).astype(np.uint8)
     return BinaryGrid.from_window(new, i0, j0)
+
+
+def cell_text(g: BinaryGrid, tag: str, key: str) -> str:
+    """The '#bgrid'/'#lpoly' block of ``g``, one f-string per cell."""
+    ii, jj = g.index_arrays()  # row-major, i.e. sorted (i, j) order
+    lines = [f"{tag} v1 {key}={len(ii)}"]
+    lines.extend(f"{i} {j}" for i, j in zip(ii.tolist(), jj.tolist()))
+    return "\n".join(lines) + "\n"

@@ -50,6 +50,22 @@ def test_simulate_save_load_round_trip(tmp_path, capsys):
     assert out == "n=3 R1=1 R2=0 R3=0 R=1\n"  # back at the seed
 
 
+def test_save_past_int64_is_exact_and_load_refuses_it(tmp_path, capsys):
+    # one R2 step from i = 2^63 - 1 reaches i = 2^63: --save writes it
+    # exactly (not wrapped to -2^63), and the int64 parser refuses the file
+    edge, out = tmp_path / "edge.txt", tmp_path / "out.txt"
+    edge.write_text(f"#bgrid v1 count=1\n{2**63 - 1} 0\n#bgrid v1 count=0\n")
+    code, _, _ = run(capsys, "simulate", "--rule", "R2", "--steps", "1",
+                     "--load", str(edge), "--save", str(out))
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert f"{2**63} 0" in lines and f"{-2**63} 0" not in lines
+    code, out_, err = run(capsys, "simulate", "--rule", "R2", "--steps", "0",
+                          "--load", str(out))
+    assert code == 2 and out_ == ""
+    assert err.startswith("error: malformed '#bgrid v1' block")
+
+
 def test_state_text_round_trip():
     s = evolve(Rule.C1, single_seed(), 4)
     assert state_from_text(state_to_text(s)) == s

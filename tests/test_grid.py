@@ -1,7 +1,11 @@
+import tracemalloc
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from oracle import cell_text
+from revca.gf2poly import poly_from_text, poly_to_text
 from revca.grid import (BinaryGrid, MixedParityError, SecondOrderState,
                         count_values, diagonal_embed, diagonal_extract,
                         grid_from_text, grid_to_text, shift, single_seed,
@@ -184,3 +188,40 @@ def test_text_lines_are_sorted_cells(g):
     assert lines[0] == f"#bgrid v1 count={len(g)}"
     assert lines[1:] == [f"{i} {j}" for i, j in sorted(g.cells())]
     assert grid_from_text(grid_to_text(g)) == g
+
+
+formats = st.sampled_from([(grid_to_text, grid_from_text, "#bgrid", "count"),
+                           (poly_to_text, poly_from_text, "#lpoly", "terms")])
+far = st.integers(-2**40, 2**40)
+
+
+@given(grids, far, far, formats)
+@example(BinaryGrid(), 0, 0, (grid_to_text, grid_from_text, "#bgrid", "count"))
+@example(BinaryGrid([(4, -7)]), 0, 0,
+         (poly_to_text, poly_from_text, "#lpoly", "terms"))
+@example(BinaryGrid([(2, j) for j in (-5, 0, 1, 9)]), -2**40, 2**40,
+         (grid_to_text, grid_from_text, "#bgrid", "count"))
+@example(BinaryGrid([(i, 3) for i in (-5, 0, 1, 9)]), 2**40, -2**40,
+         (poly_to_text, poly_from_text, "#lpoly", "terms"))
+def test_writer_matches_cell_oracle(g, di, dj, fmt):
+    # the row-by-row writer gives the per-cell writer's bytes, near the
+    # origin and far from it, and the strict parser reads them back
+    to_text, from_text, tag, key = fmt
+    for h in (g, shift(g, di, dj)):
+        text = to_text(h)
+        assert text == cell_text(h, tag, key)
+        assert from_text(text) == h
+
+
+def test_writer_memory_is_bounded_by_the_window():
+    # two cells 2^22 columns apart: a Python object per window column
+    # would take tens of MiB; the writer stays below twice the window
+    g = BinaryGrid([(0, 0), (0, 2**22 - 1)])
+    tracemalloc.start()
+    try:
+        text = grid_to_text(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == f"#bgrid v1 count=2\n0 0\n0 {2**22 - 1}\n"
+    assert peak < 2 * g.window.nbytes
