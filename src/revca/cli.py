@@ -40,19 +40,15 @@ def state_to_text(s: SecondOrderState) -> str:
 
 
 def state_from_text(text: str) -> SecondOrderState:
-    blocks = []
-    cur: list[str] = []
+    """The two blocks of a state file; each '#bgrid' line starts one."""
+    blocks: list[list[str]] = []
     for ln in text.splitlines():
-        if ln.startswith("#bgrid") and cur:
-            blocks.append("\n".join(cur))
-            cur = []
-        cur.append(ln)
-    if cur:
-        blocks.append("\n".join(cur))
+        if ln.startswith("#bgrid") or not blocks:
+            blocks.append([])
+        blocks[-1].append(ln)
     if len(blocks) != 2:
         raise ValueError(f"state file needs 2 grid blocks, found {len(blocks)}")
-    return SecondOrderState(grid_from_text(blocks[0]),
-                            grid_from_text(blocks[1]))
+    return SecondOrderState(*(grid_from_text("\n".join(b)) for b in blocks))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -117,17 +113,11 @@ def cmd_sequence(args: argparse.Namespace) -> int:
                               f"{method}={cols[w][n]}", file=sys.stderr)
                         return 3
     cols = _sequence_columns(args.method, n_max)
-    names = ["R", "R1", "R2"] if args.which == "all" else [args.which]
-    if args.format == "json":
-        rows = [{"n": n, **{w: cols[w][n] for w in names}}
-                for n in range(n_max + 1)]
-        out = json.dumps(rows, indent=2) + "\n"
-    else:
-        lines = ["n," + ",".join(names)]
-        lines += [f"{n}," + ",".join(str(cols[w][n]) for w in names)
-                  for n in range(n_max + 1)]
-        out = "\n".join(lines) + "\n"
-    _write(args.out, out)
+    table = seq.SequenceTable(list(zip(range(n_max + 1), *(
+        cols[w] for w in seq.SequenceTable.COLUMNS))))
+    names = table.COLUMNS if args.which == "all" else [args.which]
+    _write(args.out, json.dumps(table.to_json_obj(names), indent=2) + "\n"
+           if args.format == "json" else table.to_csv(names))
     return 0
 
 

@@ -1,14 +1,17 @@
 """Exact two-state and four-state configurations on the unbounded integer lattice.
 
 A configuration is a finite set of occupied cells (i, j) with arbitrary
-signed coordinates.  A :class:`BinaryGrid` keeps it as a dense uint8 window
-cropped to the tight bounding box (axis 0 is i, axis 1 is j), so stepping,
-counting and equality are vectorized.
+signed coordinates.  A :class:`BinaryGrid` keeps its tight bounding box as
+bit-packed rows, one row of little-endian uint64 words per i: column jmin
+is bit 0 of word 0 and every bit past the last column is 0.  The layout is
+canonical, so equality and hashing compare words, and xor, products and
+steps run on words.  The ``window`` property is the one place that unpacks
+them into a dense 0/1 array, for the writer, the renderer and the tests.
 
 The same set is a GF(2) Laurent polynomial in x, y: cell (i, j) is the
 monomial x^i y^j.  ``+`` is xor, ``*`` is the mod-2 product and
 ``square`` doubles every exponent, so the closed-form algebra of the
-linear rules runs on the same windows as the simulation.
+linear rules runs on the same words as the simulation.
 
 A four-state configuration is an ordered pair of binary grids: the cell
 value is  current + 2 * previous,  so values 0..3 encode which of the two
@@ -24,49 +27,66 @@ import numpy as np
 
 Cell = tuple[int, int]
 
+#: word dtype of a grid row: bit k of word w is column 64 w + k
+_WORD = np.dtype("<u8")
+#: bit k set, for k = 0..63
+_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+#: byte b with its bit k moved to bit 2k: a squaring spreads each byte
+_SPREAD = np.array([sum((b >> k & 1) << 2 * k for k in range(8))
+                    for b in range(256)], dtype="<u2")
+
 
 class MixedParityError(ValueError):
     """Grid holds cells of both (i+j) parities where one was required."""
 
 
-class BinaryGrid:
-    """Immutable set of occupied lattice cells with dense-window storage."""
+def _nwords(ncols: int) -> int:
+    return -(-ncols // 64)
 
-    __slots__ = ("_a", "_imin", "_jmin")
+
+def _popcount(words: np.ndarray) -> int:
+    """Set bits in an array of words."""
+    if hasattr(np, "bitwise_count"):  # numpy >= 2
+        return int(np.bitwise_count(words).sum())
+    return int(np.count_nonzero(np.unpackbits(words.view(np.uint8))))
+
+
+class BinaryGrid:
+    """Immutable set of occupied lattice cells on bit-packed rows."""
+
+    __slots__ = ("_w", "_imin", "_jmin", "_ncols")
 
     def __init__(self, cells: Iterable[Cell] = ()):
-        cells = list(cells)
-        self._fill(np.fromiter((c[0] for c in cells), np.int64, len(cells)),
-                   np.fromiter((c[1] for c in cells), np.int64, len(cells)))
+        try:
+            ij = np.array(list(cells), dtype=np.int64).reshape(-1, 2)
+        except OverflowError:
+            raise ValueError("a cell coordinate leaves int64") from None
+        self._fill(ij[:, 0], ij[:, 1])
 
     def _fill(self, ii: np.ndarray, jj: np.ndarray) -> None:
-        if len(ii) == 0:
-            self._a, self._imin, self._jmin = np.zeros((0, 0), np.uint8), 0, 0
-            return
-        imin, jmin = int(ii.min()), int(jj.min())
-        a = np.zeros((int(ii.max()) - imin + 1, int(jj.max()) - jmin + 1),
-                     dtype=np.uint8)
-        a[ii - imin, jj - jmin] = 1
-        self._a, self._imin, self._jmin = a, imin, jmin
+        imin, jmin = (int(ii.min()), int(jj.min())) if len(ii) else (0, 0)
+        r, c = ii - imin, jj - jmin
+        ncols = int(c.max(initial=-1)) + 1
+        words = np.zeros((int(r.max(initial=-1)) + 1, _nwords(ncols)), _WORD)
+        np.bitwise_or.at(words.ravel(), r * words.shape[1] + (c >> 6),
+                         _BIT[c & 63])
+        self._w, self._imin, self._jmin, self._ncols = words, imin, jmin, ncols
 
     @classmethod
-    def _tight(cls, a: np.ndarray, imin: int, jmin: int) -> "BinaryGrid":
-        """Wrap a window whose bounding box is already tight and nonempty."""
+    def _tight(cls, words: np.ndarray, imin: int, jmin: int,
+               ncols: int) -> "BinaryGrid":
+        """Wrap C-contiguous words whose box is already tight and nonempty."""
         g = cls.__new__(cls)
-        g._a, g._imin, g._jmin = a, imin, jmin
+        g._w, g._imin, g._jmin, g._ncols = words, imin, jmin, ncols
         return g
 
     @classmethod
     def from_window(cls, a: np.ndarray, imin: int, jmin: int) -> "BinaryGrid":
         """Build from a dense 0/1 window; crops to the tight bounding box."""
-        rows, cols = a.any(axis=1), a.any(axis=0)
-        if not rows.any():
-            return cls()
-        # argmax of a boolean array is its first True
-        r0, r1 = int(rows.argmax()), len(rows) - int(rows[::-1].argmax())
-        c0, c1 = int(cols.argmax()), len(cols) - int(cols[::-1].argmax())
-        return cls._tight(np.ascontiguousarray(a[r0:r1, c0:c1], dtype=np.uint8),
-                          imin + r0, jmin + c0)
+        h, w = a.shape
+        packed = np.zeros((h, 8 * _nwords(w)), np.uint8)
+        packed[:, :-(-w // 8)] = np.packbits(a, axis=1, bitorder="little")
+        return _wrap_tight(packed.view(_WORD), imin, jmin, w)
 
     @classmethod
     def from_index_arrays(cls, ii: np.ndarray, jj: np.ndarray) -> "BinaryGrid":
@@ -76,10 +96,9 @@ class BinaryGrid:
 
     @property
     def window(self) -> np.ndarray:
-        """Dense 0/1 window over the bounding box (read-only view)."""
-        v = self._a.view()
-        v.flags.writeable = False
-        return v
+        """Dense 0/1 window over the bounding box, unpacked on each call."""
+        return np.unpackbits(self._w.view(np.uint8), axis=1, count=self._ncols,
+                             bitorder="little")
 
     @property
     def origin(self) -> Cell:
@@ -88,24 +107,24 @@ class BinaryGrid:
 
     def bounds(self) -> tuple[int, int, int, int]:
         """(imin, imax, jmin, jmax); raises ValueError when empty."""
-        if self._a.size == 0:
+        if not self:
             raise ValueError("empty grid has no bounds")
-        return (self._imin, self._imin + self._a.shape[0] - 1,
-                self._jmin, self._jmin + self._a.shape[1] - 1)
+        return (self._imin, self._imin + len(self._w) - 1,
+                self._jmin, self._jmin + self._ncols - 1)
 
     def index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Occupied coordinates as parallel (i, j) arrays in sorted order."""
-        ri, rj = np.nonzero(self._a)
+        """Occupied coordinates as parallel int64 (i, j) arrays in sorted
+        order; raises ValueError when a coordinate leaves int64."""
+        if self and not all(-2**63 <= v < 2**63 for v in self.bounds()):
+            raise ValueError("a cell coordinate leaves int64")
+        ri, rj = np.nonzero(self.window)
         return ri.astype(np.int64) + self._imin, rj.astype(np.int64) + self._jmin
 
     def cells(self) -> frozenset[Cell]:
-        ii, jj = self.index_arrays()
-        return frozenset(zip(ii.tolist(), jj.tolist()))
+        return frozenset(self)
 
-    @property
-    def support(self) -> frozenset[Cell]:
-        """The exponent pairs (e_x, e_y) of the polynomial: its cells."""
-        return self.cells()
+    #: the exponent pairs (e_x, e_y) of the polynomial: its cells
+    support = property(cells)
 
     # --- GF(2) Laurent-polynomial algebra: cell (i, j) is x^i y^j ----------
 
@@ -113,55 +132,62 @@ class BinaryGrid:
         return xor(self, other)
 
     def __mul__(self, other: "BinaryGrid") -> "BinaryGrid":
-        """Mod-2 product: one shifted copy of the larger window per term of
-        the smaller factor, xored together.
+        """Mod-2 product: the larger factor's words xored in at each term of
+        the smaller one, read off its nonzero words.
 
         GF(2)[x^±1, y^±1] has no zero divisors, so each extreme row and
         column of the product is a product of nonzero extreme rows or
-        columns: the summed window is already tight and needs no crop.
+        columns: the summed words are already tight and need no crop.
         """
         small, big = sorted((self, other), key=len)
         if not small:
             return small
-        (sh, sw), (bh, bw) = small._a.shape, big._a.shape
-        out = np.zeros((sh + bh - 1, sw + bw - 1), dtype=np.uint8)
-        rr, cc = np.nonzero(small._a)
-        for r, c in zip(rr.tolist(), cc.tolist()):
-            out[r:r + bh, c:c + bw] ^= big._a
+        ncols = small._ncols + big._ncols - 1
+        out = np.zeros((len(small._w) + len(big._w) - 1, _nwords(ncols)),
+                       _WORD)
+        rr, ww = np.nonzero(small._w)
+        for r, w, v in zip(rr.tolist(), ww.tolist(),
+                           small._w[rr, ww].tolist()):
+            while v:
+                low = v & -v
+                _xor_at(out, big._w, r, 64 * w + low.bit_length() - 1)
+                v ^= low
         return BinaryGrid._tight(out, small._imin + big._imin,
-                                 small._jmin + big._jmin)
+                                 small._jmin + big._jmin, ncols)
 
     def square(self) -> "BinaryGrid":
         """p^2 over GF(2): every exponent pair doubles, no cross terms."""
         return self.pow_2k(1)
 
     def pow_2k(self, k: int) -> "BinaryGrid":
-        """p^(2^k): the window scattered at stride 2^k, origin times 2^k."""
+        """p^(2^k): k times each word's bits spread over two words (bit b
+        to bit 2b), the rows written 2^k apart, the origin times 2^k."""
         if k < 0:
             raise ValueError("k must be nonnegative")
         if not self:
             return self
-        d = 1 << k
-        h, w = self._a.shape
-        out = np.zeros(((h - 1) * d + 1, (w - 1) * d + 1), dtype=np.uint8)
-        out[::d, ::d] = self._a
-        return BinaryGrid._tight(out, self._imin * d, self._jmin * d)
+        d, words = 1 << k, self._w
+        for _ in range(k):
+            words = _SPREAD[words.view(np.uint8)].view(_WORD)
+        ncols = (self._ncols - 1) * d + 1
+        out = np.zeros(((len(words) - 1) * d + 1, _nwords(ncols)), _WORD)
+        out[::d] = words[:, :out.shape[1]]
+        return BinaryGrid._tight(out, self._imin * d, self._jmin * d, ncols)
 
     def shift_exponents(self, dx: int, dy: int) -> "BinaryGrid":
         """Multiply by the monomial x^dx y^dy."""
         return shift(self, dx, dy)
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self._a))
+        return _popcount(self._w)
 
     def __bool__(self) -> bool:
-        return self._a.size > 0
+        return self._w.size > 0
 
     def __contains__(self, cell: Cell) -> bool:
-        i, j = cell
-        r, c = i - self._imin, j - self._jmin
-        if 0 <= r < self._a.shape[0] and 0 <= c < self._a.shape[1]:
-            return bool(self._a[r, c])
+        r, c = cell[0] - self._imin, cell[1] - self._jmin
+        if 0 <= r < len(self._w) and 0 <= c < self._ncols:
+            return bool(int(self._w[r, c >> 6]) >> (c & 63) & 1)
         return False
 
     def __iter__(self) -> Iterator[Cell]:
@@ -172,17 +198,78 @@ class BinaryGrid:
         if not isinstance(other, BinaryGrid):
             return NotImplemented
         return (self._imin == other._imin and self._jmin == other._jmin
-                and self._a.shape == other._a.shape
-                and np.array_equal(self._a, other._a))
+                and self._ncols == other._ncols
+                and np.array_equal(self._w, other._w))
 
     def __hash__(self) -> int:
-        return hash((self._imin, self._jmin, self._a.shape, self._a.tobytes()))
+        return hash((self._imin, self._jmin, self._ncols, self._w.tobytes()))
 
     def __repr__(self) -> str:
         return f"BinaryGrid({sorted(self.cells())!r})"
 
 
 EMPTY = BinaryGrid()
+
+
+# --- word helpers: a block xored in at any bit offset, and the edge-scan crop
+
+def _xor_at(dst: np.ndarray, src: np.ndarray, r: int, c: int) -> None:
+    """dst ^= src, with bit 0 of src's first row at row r, bit c of dst.
+
+    c may be negative.  Words that fall outside dst are dropped; callers
+    only drop zero words.
+    """
+    h, n = src.shape
+    q, b = c >> 6, c & 63
+    parts = ([(q, src)] if not b else
+             [(q, src << np.uint64(b)), (q + 1, src >> np.uint64(64 - b))])
+    for q, part in parts:
+        lo, hi = max(q, 0), min(q + n, dst.shape[1])
+        if lo < hi:
+            dst[r:r + h, lo:hi] ^= part[:, lo - q:hi - q]
+
+
+def _tight_box(p: np.ndarray, r0: int, r1: int, c0: int,
+               c1: int) -> tuple[int, int, int, int] | None:
+    """Tight half-open box (r0, r1, c0, c1) of the set bits of the word
+    array p, all of which lie in rows r0..r1 and bit columns c0..c1, or
+    None when there are none: each edge moves inward while its row or
+    word is empty."""
+    wa, wb = c0 >> 6, (c1 - 1) >> 6  # inclusive
+    while r0 < r1 and not np.count_nonzero(p[r0, wa:wb + 1]):
+        r0 += 1
+    if r0 == r1:
+        return None
+    while not np.count_nonzero(p[r1 - 1, wa:wb + 1]):
+        r1 -= 1
+    while not (lo := int(np.bitwise_or.reduce(p[r0:r1, wa]))):
+        wa += 1
+    while not (hi := int(np.bitwise_or.reduce(p[r0:r1, wb]))):
+        wb -= 1
+    return r0, r1, 64 * wa + (lo & -lo).bit_length() - 1, 64 * wb + hi.bit_length()
+
+
+def _crop(p: np.ndarray, i0: int, j0: int,
+          box: tuple[int, int, int, int] | None) -> BinaryGrid:
+    """The grid of p's set bits in a tight box (EMPTY for None), copied so
+    that column c0 is bit 0; bit 0 of p's row 0 is the cell (i0, j0)."""
+    if box is None:
+        return EMPTY
+    r0, r1, c0, c1 = box
+    out = np.zeros((r1 - r0, _nwords(c1 - c0)), _WORD)
+    wa = c0 >> 6
+    _xor_at(out, p[r0:r1, wa:((c1 - 1) >> 6) + 1], 0, 64 * wa - c0)
+    return BinaryGrid._tight(out, i0 + r0, j0 + c0, c1 - c0)
+
+
+def _wrap_tight(p: np.ndarray, i0: int, j0: int, ncols: int) -> BinaryGrid:
+    """The grid of a fresh C-contiguous word array with _nwords(ncols)
+    words per row and its set bits in columns 0..ncols-1: p itself when
+    that box is tight, else a crop."""
+    box = _tight_box(p, 0, len(p), 0, ncols)
+    if box == (0, len(p), 0, ncols):
+        return BinaryGrid._tight(p, i0, j0, ncols)
+    return _crop(p, i0, j0, box)
 
 
 def xor(a: BinaryGrid, b: BinaryGrid) -> BinaryGrid:
@@ -194,19 +281,18 @@ def xor(a: BinaryGrid, b: BinaryGrid) -> BinaryGrid:
     ai0, ai1, aj0, aj1 = a.bounds()
     bi0, bi1, bj0, bj1 = b.bounds()
     i0, j0 = min(ai0, bi0), min(aj0, bj0)
-    out = np.zeros((max(ai1, bi1) - i0 + 1, max(aj1, bj1) - j0 + 1),
-                   dtype=np.uint8)
-    aw, bw = a.window, b.window
-    out[ai0 - i0:ai0 - i0 + aw.shape[0], aj0 - j0:aj0 - j0 + aw.shape[1]] ^= aw
-    out[bi0 - i0:bi0 - i0 + bw.shape[0], bj0 - j0:bj0 - j0 + bw.shape[1]] ^= bw
-    return BinaryGrid.from_window(out, i0, j0)
+    ncols = max(aj1, bj1) - j0 + 1
+    out = np.zeros((max(ai1, bi1) - i0 + 1, _nwords(ncols)), _WORD)
+    _xor_at(out, a._w, ai0 - i0, aj0 - j0)
+    _xor_at(out, b._w, bi0 - i0, bj0 - j0)
+    return _wrap_tight(out, i0, j0, ncols)
 
 
 def shift(g: BinaryGrid, dx: int, dy: int) -> BinaryGrid:
     """Translate every cell (i, j) to (i + dx, j + dy)."""
     if not g:
         return g
-    return BinaryGrid._tight(g._a, g._imin + dx, g._jmin + dy)
+    return BinaryGrid._tight(g._w, g._imin + dx, g._jmin + dy, g._ncols)
 
 
 def diagonal_embed(g: BinaryGrid, parity: str = "even") -> BinaryGrid:
@@ -215,11 +301,8 @@ def diagonal_embed(g: BinaryGrid, parity: str = "even") -> BinaryGrid:
     even: (i, j) -> (i+j, i-j); odd: (i, j) -> (i+j+1, i-j).  Image cells
     all have coordinate sum of the requested parity.
     """
-    _check_parity_arg(parity)
-    ii, jj = g.index_arrays()
-    if parity == "even":
-        return BinaryGrid.from_index_arrays(ii + jj, ii - jj)
-    return BinaryGrid.from_index_arrays(ii + jj + 1, ii - jj)
+    o, (ii, jj) = _parity(parity), g.index_arrays()
+    return BinaryGrid.from_index_arrays(ii + jj + o, ii - jj)
 
 
 def diagonal_extract(g: BinaryGrid, parity: str = "even") -> BinaryGrid:
@@ -228,20 +311,18 @@ def diagonal_extract(g: BinaryGrid, parity: str = "even") -> BinaryGrid:
     Raises :class:`MixedParityError` if any cell of ``g`` has the wrong
     (i+j) parity, i.e. the configuration is not confined to one sublattice.
     """
-    _check_parity_arg(parity)
-    uu, vv = g.index_arrays()
-    want = 0 if parity == "even" else 1
-    if len(uu) and not np.all((uu + vv) % 2 == want):
+    o, (uu, vv) = _parity(parity), g.index_arrays()
+    if np.any((uu + vv) % 2 != o):
         raise MixedParityError(
             f"grid has cells outside the {parity} diagonal sublattice")
-    if parity == "even":
-        return BinaryGrid.from_index_arrays((uu + vv) // 2, (uu - vv) // 2)
-    return BinaryGrid.from_index_arrays((uu + vv - 1) // 2, (uu - vv - 1) // 2)
+    return BinaryGrid.from_index_arrays((uu + vv - o) // 2, (uu - vv - o) // 2)
 
 
-def _check_parity_arg(parity: str) -> None:
+def _parity(parity: str) -> int:
+    """0 for 'even', 1 for 'odd'."""
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    return int(parity == "odd")
 
 
 @dataclass(frozen=True)
@@ -273,18 +354,11 @@ def swap_x(s: SecondOrderState) -> SecondOrderState:
 def count_values(s: SecondOrderState, n: int = 0) -> CountRecord:
     """Tally cells of value 1, 2, 3 in a state; ``n`` is caller-supplied.
 
-    Value-3 cells lie in both components, so only the overlap of the two
-    bounding boxes is compared; an empty grid has an empty box.
+    Value-3 cells lie in both components and cancel in their xor, so
+    r3 = (|c| + |p| - |c xor p|) / 2.
     """
     cur, prev = s.current, s.previous
-    (ci, cj), (pi, pj) = cur.origin, prev.origin
-    cw, pw = cur.window, prev.window
-    i0, i1 = max(ci, pi), min(ci + cw.shape[0], pi + pw.shape[0])
-    j0, j1 = max(cj, pj), min(cj + cw.shape[1], pj + pw.shape[1])
-    r3 = 0
-    if i0 < i1 and j0 < j1:
-        r3 = int(np.count_nonzero(cw[i0 - ci:i1 - ci, j0 - cj:j1 - cj]
-                                  & pw[i0 - pi:i1 - pi, j0 - pj:j1 - pj]))
+    r3 = (len(cur) + len(prev) - len(xor(cur, prev))) // 2
     r1, r2 = len(cur) - r3, len(prev) - r3
     return CountRecord(n, r1, r2, r3, r1 + r2 + r3)
 
@@ -294,12 +368,13 @@ def count_values(s: SecondOrderState, n: int = 0) -> CountRecord:
 # then one 'i j' line per cell in sorted order.  The writer formats one
 # ' j\n' label per occupied column and one str(i) per occupied row, and
 # writes a row as str(i).join over its cells' labels.  Coordinates are the
-# Python-int origin plus an offset, so they stay exact past int64, and a
-# wide window costs one boolean row, not a Python object per column.
+# Python-int origin plus an offset, so they stay exact past int64.  The
+# occupied columns are the or of all rows, read before the window exists.
 
 def _to_text(g: BinaryGrid, tag: str, key: str) -> str:
-    cols = np.flatnonzero(g._a.any(axis=0))
-    sub = g._a[:, cols]
+    rows_or = np.bitwise_or.reduce(g._w, axis=0, keepdims=True)
+    cols = np.flatnonzero(BinaryGrid._tight(rows_or, 0, 0, g._ncols).window)
+    sub = g.window[:, cols]
     per_row = np.count_nonzero(sub, axis=1)
     rows = np.flatnonzero(per_row)
     labels = np.array([f" {g._jmin + c}\n" for c in cols.tolist()],
@@ -312,8 +387,8 @@ def _to_text(g: BinaryGrid, tag: str, key: str) -> str:
     return "".join(out)
 
 
-#: largest bounding box, in cells, that a parsed block (256 MiB as a
-#: window) or a bit-packed walk plane (32 MiB) may span
+#: largest bounding box, in cells, that a parsed block or a walk plane may
+#: span: 2^28 cells are 32 MiB of words
 MAX_PARSED_WINDOW = 1 << 28
 
 

@@ -10,12 +10,11 @@ is reversible; lift names R1, R2, R3, R3p mirror the rule names.
 ``trajectory`` walks a lift from a state (by default the single seed)
 forward or backward and yields every state on the way.
 
-Each rule has one kernel, ``_rule_words``, on bit-packed rows (64 cells
-per word).  ``first_order_step`` runs it on one packed grid; a walk runs
-it in place on two planes allocated once.  Tallies and the coloring
-checks read the planes' words, so a grid is unpacked only for a state
-handed out.  The tests check the kernel against a dense neighbor-count
-stencil, kept there as the independent oracle.
+Each rule has one kernel, ``_rule_words``, on the bit-packed rows that a
+:class:`~revca.grid.BinaryGrid` keeps.  ``first_order_step`` runs it on
+one grid, a walk in place on two planes whose words the tallies and the
+coloring checks read.  The tests check the kernel against a dense
+neighbor-count stencil, kept there as the independent oracle.
 """
 
 from __future__ import annotations
@@ -26,8 +25,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .grid import (EMPTY, MAX_PARSED_WINDOW, BinaryGrid, CountRecord,
-                   SecondOrderState, single_seed, xor)
+from .grid import (_WORD, MAX_PARSED_WINDOW, BinaryGrid, CountRecord,
+                   SecondOrderState, _crop, _popcount, _tight_box, _wrap_tight,
+                   _xor_at, single_seed, xor)
 
 
 class Rule(enum.Enum):
@@ -51,8 +51,6 @@ def parse_rule(name: str) -> Rule:
         raise ValueError(f"unknown rule {name!r}") from None
 
 
-#: plane word dtype: bit k of word w in a row is column 64 w + k
-_WORD = np.dtype("<u8")
 _1, _63 = np.uint64(1), np.uint64(63)
 #: a plane word with a bit at every even column; ~ marks the odd ones
 _EVEN_BITS = np.uint64(0x5555555555555555)
@@ -86,32 +84,15 @@ def _rule_words(rule: Rule, x: np.ndarray, nw: int) -> np.ndarray:
     return out
 
 
-def _pack(win: np.ndarray, r: int, c: int, rows: int,
-          words: int) -> np.ndarray:
-    """A 0/1 window at row r, bit c of ``rows`` x ``words`` zero words."""
-    buf = np.zeros((rows, 64 * words), dtype=np.uint8)
-    buf[r:r + win.shape[0], c:c + win.shape[1]] = win
-    return np.packbits(buf, axis=1, bitorder="little").view(_WORD)
-
-
-def _unpack(words: np.ndarray, c: int, count: int) -> np.ndarray:
-    """Bits c..c+count-1 of each row of packed words as a 0/1 window."""
-    packed = words >> np.uint64(c)  # bit c to bit 0
-    if c:
-        packed[:, :-1] |= words[:, 1:] << np.uint64(64 - c)
-    return np.unpackbits(packed.view(np.uint8), axis=1, count=count,
-                         bitorder="little")
-
-
 def first_order_step(rule: Rule, g: BinaryGrid) -> BinaryGrid:
-    """One application of the named first-order rule: g packed below two
-    empty rows and right of one empty bit, stepped by ``_rule_words``,
-    unpacked from bit 0 over the box grown by one and cropped."""
-    (h, w), (i0, j0) = g.window.shape, g.origin
+    """One application of the named first-order rule: ``_rule_words`` on
+    g's words below two empty rows and right of one empty bit, cropped."""
+    (i0, j0), w = g.origin, g._ncols
     nw = -(-(w + 2) // 64)  # the last bit of each row stays empty
-    new = _rule_words(rule, _pack(g.window, 2, 1, h + 4, nw).ravel(), nw)
-    return BinaryGrid.from_window(_unpack(new.reshape(h + 2, nw), 0, w + 2),
-                                  i0 - 1, j0 - 1)
+    x = np.zeros((len(g._w) + 4, nw), _WORD)
+    _xor_at(x, g._w, 2, 1)
+    new = _rule_words(rule, x.ravel(), nw).reshape(-1, nw)
+    return _wrap_tight(new, i0 - 1, j0 - 1, w + 2)
 
 
 StepFn = Callable[[Rule, BinaryGrid], BinaryGrid]
@@ -131,13 +112,6 @@ def second_order_inverse(rule: Rule, s: SecondOrderState,
                             xor(step_fn(rule, s.previous), s.current))
 
 
-def _popcount(words: np.ndarray) -> int:
-    """Set bits in an array of plane words."""
-    if hasattr(np, "bitwise_count"):  # numpy >= 2
-        return int(np.bitwise_count(words).sum())
-    return int(np.count_nonzero(np.unpackbits(words.view(np.uint8))))
-
-
 #: most steps a walk from the seed takes: its planes span (2|n| + 3)^2 cells
 MAX_SEED_STEPS = (math.isqrt(MAX_PARSED_WINDOW) - 3) // 2
 
@@ -149,7 +123,7 @@ class _Planes:
     Index 0 is the newest plane: the current component of a forward walk,
     the previous one of a backward walk (``back``).  Each plane keeps its
     tight box in plane coordinates (r0, r1, c0, c1), half-open, or None
-    when empty, and the BinaryGrid it holds once one has been unpacked.
+    when empty, and the BinaryGrid it holds once one has been handed out.
     f grows a box by one per step, so planes over both boxes grown by
     |n|+1 hold a walk of |n| steps.
     """
@@ -171,12 +145,9 @@ class _Planes:
         self.boxes: list[tuple[int, int, int, int] | None] = [None, None]
         for k, g in enumerate(self.grids):
             if g:
-                r0, c0 = g.origin[0] - i0, g.origin[1] - j0
-                (h, w), wa, off = g.window.shape, c0 >> 6, c0 & 63
-                words = -(-(off + w) // 64)
-                self.planes[k][r0:r0 + h, wa:wa + words] = _pack(
-                    g.window, 0, off, h, words)
-                self.boxes[k] = (r0, r0 + h, c0, c0 + w)
+                gi0, gi1, gj0, gj1 = g.bounds()
+                _xor_at(self.planes[k], g._w, gi0 - i0, gj0 - j0)
+                self.boxes[k] = (gi0 - i0, gi1 + 1 - i0, gj0 - j0, gj1 + 1 - j0)
 
     def step(self, rule: Rule) -> None:
         """X_{k+2} = f(X_{k+1}) + X_k, written over X_k; then swap roles."""
@@ -188,45 +159,22 @@ class _Planes:
             x = np.ascontiguousarray(new[r0 - 2:r1 + 2, wa:wb]).ravel()
             old[r0 - 1:r1 + 1, wa:wb] ^= _rule_words(
                 rule, x, wb - wa).reshape(-1, wb - wa)
-            self._retighten(1, r0 - 1, r1 + 1, c0 - 1, c1 + 1)
+            # X_{k+2} lies in the box of X_k or that of X_{k+1} grown by one
+            b0, b1, d0, d1 = self.boxes[1] or (r0, r1, c0, c1)
+            self.boxes[1] = _tight_box(old, min(r0 - 1, b0), max(r1 + 1, b1),
+                                       min(c0 - 1, d0), max(c1 + 1, d1))
         self.planes.reverse()
         self.boxes.reverse()
         self.grids = [None, self.grids[0]]
-
-    def _retighten(self, k: int, r0: int, r1: int, c0: int, c1: int) -> None:
-        """Tight box of plane k, whose cells lie in its old box or the
-        given one: move each edge inward while its row or word is empty."""
-        if self.boxes[k] is not None:
-            b0, b1, d0, d1 = self.boxes[k]
-            r0, r1, c0, c1 = min(r0, b0), max(r1, b1), min(c0, d0), max(c1, d1)
-        p = self.planes[k]
-        wa, wb = c0 >> 6, (c1 - 1) >> 6  # inclusive
-        while r0 < r1 and not np.count_nonzero(p[r0, wa:wb + 1]):
-            r0 += 1
-        if r0 == r1:
-            self.boxes[k] = None
-            return
-        while not np.count_nonzero(p[r1 - 1, wa:wb + 1]):
-            r1 -= 1
-        while not (lo := int(np.bitwise_or.reduce(p[r0:r1, wa]))):
-            wa += 1
-        while not (hi := int(np.bitwise_or.reduce(p[r0:r1, wb]))):
-            wb -= 1
-        self.boxes[k] = (r0, r1, 64 * wa + (lo & -lo).bit_length() - 1,
-                         64 * wb + hi.bit_length())
-
-    def words(self, k: int) -> np.ndarray:
-        """The words of plane k over its nonempty box's rows (a view)."""
-        r0, r1, c0, c1 = self.boxes[k]
-        return self.planes[k][r0:r1, c0 >> 6:((c1 - 1) >> 6) + 1]
 
     def off_lattice(self, k: int, par: int, coset: bool) -> bool:
         """Whether plane k holds a cell off the checkerboard i + j = par
         mod 2, or, with ``coset``, off the coset i = j = par mod 2."""
         if self.boxes[k] is None:
             return False
-        words, (i0, j0) = self.words(k), self.origin
-        i = i0 + self.boxes[k][0] + np.arange(len(words))
+        (r0, r1, c0, c1), (i0, j0) = self.boxes[k], self.origin
+        words = self.planes[k][r0:r1, c0 >> 6:((c1 - 1) >> 6) + 1]
+        i = i0 + r0 + np.arange(r1 - r0)
         # bit c of a row i is column j0 + c: the checkerboard admits c = par +
         # j0 + i mod 2, the coset c = par + j0 mod 2 in rows i = par mod 2 only
         odd = (par + j0 + i * (not coset)) & 1
@@ -234,14 +182,9 @@ class _Planes:
         return bool(bad.any() or coset and words[(i + par) & 1 == 1].any())
 
     def grid(self, k: int) -> BinaryGrid:
-        """Plane k as a BinaryGrid, unpacked once."""
-        if self.grids[k] is None and self.boxes[k] is None:
-            self.grids[k] = EMPTY
-        elif self.grids[k] is None:
-            r0, _, c0, c1 = self.boxes[k]
-            win = _unpack(self.words(k), c0 & 63, c1 - c0)
-            self.grids[k] = BinaryGrid._tight(win, self.origin[0] + r0,
-                                              self.origin[1] + c0)
+        """Plane k as a BinaryGrid: a shifted copy of its words, made once."""
+        if self.grids[k] is None:
+            self.grids[k] = _crop(self.planes[k], *self.origin, self.boxes[k])
         return self.grids[k]
 
     def state(self) -> SecondOrderState:
@@ -291,7 +234,7 @@ def trajectory(rule: Rule, n: int, s: SecondOrderState | None = None,
     """The states at steps 0..|n| from ``s`` (default: the single seed).
 
     Steps go forward for n >= 0 and backward for n < 0, in ``_walk``.
-    Each yielded state holds one newly unpacked grid; its other grid is
+    Each yielded state holds one newly copied grid; its other grid is
     the one yielded a step before.  Raises ValueError when a plane of the
     rule's own walk would span more than ``MAX_PARSED_WINDOW`` cells.
     """

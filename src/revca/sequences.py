@@ -22,6 +22,7 @@ overflow.
 from __future__ import annotations
 
 import enum
+from typing import Sequence
 
 
 class SeqId(enum.Enum):
@@ -117,25 +118,24 @@ def seq_value_alt(which: SeqId, n: int) -> int:
 
 
 class SequenceTable:
-    """Rows (n, R, R1, R2) for n = 0..n_max with cross-relations verified."""
+    """Rows (n, R, R1, R2) for n = 0..n_max; the writers take the names of
+    the columns to write after n."""
+
+    COLUMNS = ("R", "R1", "R2")
 
     def __init__(self, rows: list[tuple[int, int, int, int]]):
         self.rows = rows
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, idx: int) -> tuple[int, int, int, int]:
-        return self.rows[idx]
-
-    def to_csv(self) -> str:
-        lines = ["n,R,R1,R2"]
-        lines.extend(f"{n},{r},{r1},{r2}" for n, r, r1, r2 in self.rows)
+    def to_csv(self, names: Sequence[str] = COLUMNS) -> str:
+        cols = [0] + [1 + self.COLUMNS.index(w) for w in names]
+        lines = [",".join(["n", *names])]
+        lines += [",".join([str(row[k]) for k in cols]) for row in self.rows]
         return "\n".join(lines) + "\n"
 
-    def to_json_obj(self) -> list[dict[str, int]]:
-        return [{"n": n, "R": r, "R1": r1, "R2": r2}
-                for n, r, r1, r2 in self.rows]
+    def to_json_obj(self, names: Sequence[str] = COLUMNS) -> list[dict[str, int]]:
+        cols = [(w, 1 + self.COLUMNS.index(w)) for w in names]
+        return [{"n": row[0], **{w: row[k] for w, k in cols}}
+                for row in self.rows]
 
 
 def build_table(n_max: int) -> SequenceTable:

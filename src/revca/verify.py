@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass
 
 from . import sequences as seq
 from .gf2poly import PolyPair, fib_poly_eval, state_poly_at, transition_poly
-from .grid import (EMPTY, BinaryGrid, SecondOrderState, diagonal_extract,
-                   shift, single_seed, swap_x)
+from .grid import (BinaryGrid, SecondOrderState, diagonal_extract,
+                   single_seed, swap_x)
 from .rules import (MAX_SEED_STEPS, Rule, StepFn, _walk, first_order_step,
                     second_order_inverse, second_order_step, trajectory,
                     trajectory_counts)
@@ -36,9 +36,6 @@ class SuiteReport:
     range: str
     passed: bool
     witness: str | None = None
-
-    def to_json_obj(self) -> dict:
-        return asdict(self)
 
 
 def _fail(name: str, rng: str, witness: str) -> SuiteReport:
@@ -134,11 +131,10 @@ def suite_replication(k_max: int = 6,
 
 
 def _copies(T: BinaryGrid, d: int, g: BinaryGrid) -> BinaryGrid | None:
-    """g shifted by d times each term of T, xored together: T^d g over
-    GF(2) for d a power of two; None when two of the copies overlap."""
-    copies = [shift(g, d * a, d * b) for a, b in T]
-    combined = sum(copies, EMPTY)  # + is xor: overlaps cancel
-    return combined if len(combined) == len(g) * len(copies) else None
+    """T^d g over GF(2) for d a power of two: g shifted by d times each
+    term of T, xored together; None when two of the copies overlap."""
+    combined = T.pow_2k(d.bit_length() - 1) * g  # overlaps cancel
+    return combined if len(combined) == len(g) * len(T) else None
 
 
 def suite_reversibility(n_max: int = 256,
@@ -226,7 +222,7 @@ def suite_coloring(n_max: int = 256,
     value-2 cells on the opposite parity, swapping every step.  R1: both
     components stay on the even diagonal sublattice, with value-1 cells at
     coordinates (n mod 2, n mod 2) mod 2 and value-2 on the complementary
-    coset.  The checks read the walks' planes: no grid is unpacked.
+    coset.  The checks read the walks' planes: no grid is handed out.
     """
     name, rng = "coloring", f"n=0..{n_max}"
     runs = zip(_walk(Rule.C1, n_max, single_seed(), step_fn),
@@ -373,15 +369,10 @@ def run_all(limit: int | None = None) -> list[SuiteReport]:
 
 
 def report_text(reports: list[SuiteReport]) -> str:
-    lines = []
-    for r in reports:
-        status = "PASS" if r.passed else "FAIL"
-        line = f"{r.suite:<16} {r.range:<12} {status}"
-        if r.witness:
-            line += f"  witness: {r.witness}"
-        lines.append(line)
+    lines = [f"{r.suite:<16} {r.range:<12} {'PASS' if r.passed else 'FAIL'}"
+             + (f"  witness: {r.witness}" if r.witness else "") for r in reports]
     return "\n".join(lines) + "\n"
 
 
 def report_json(reports: list[SuiteReport]) -> str:
-    return json.dumps([r.to_json_obj() for r in reports], indent=2) + "\n"
+    return json.dumps([asdict(r) for r in reports], indent=2) + "\n"

@@ -1,20 +1,31 @@
 import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import cell_text
+from oracle import cell_text, dense_step
 from revca.gf2poly import poly_from_text, poly_to_text
-from revca.grid import (BinaryGrid, MixedParityError, SecondOrderState,
-                        count_values, diagonal_embed, diagonal_extract,
-                        grid_from_text, grid_to_text, shift, single_seed,
-                        swap_x, xor)
-from revca.rules import Rule, evolve, second_order_step
+from revca.grid import (EMPTY, BinaryGrid, MixedParityError,
+                        SecondOrderState, count_values, diagonal_embed,
+                        diagonal_extract, grid_from_text, grid_to_text, shift,
+                        single_seed, swap_x, xor)
+from revca.render import render
+from revca.rules import (Rule, evolve, first_order_step, second_order_step,
+                         trajectory)
 
 cells = st.frozensets(
     st.tuples(st.integers(-8, 8), st.integers(-8, 8)), max_size=40)
 grids = cells.map(BinaryGrid)
+# columns around the 64-bit word edges of a grid's rows, negative ones
+# included, so a grid spans up to five words
+wide_cols = st.one_of(st.integers(-140, 140),
+                      st.sampled_from([-129, -128, -65, -64, -1, 63, 64, 127,
+                                       128]))
+wide_grids = st.frozensets(st.tuples(st.integers(-5, 5), wide_cols),
+                           max_size=20).map(BinaryGrid)
+any_grids = st.one_of(grids, wide_grids)
 
 
 def test_single_seed():
@@ -55,7 +66,7 @@ def test_xor_examples():
     assert xor(BinaryGrid([(0, 0)]), g) == BinaryGrid([(1, 1)])
 
 
-@given(grids, grids, grids)
+@given(any_grids, any_grids, any_grids)
 def test_xor_group_laws(a, b, c):
     assert xor(a, b) == xor(b, a)
     assert xor(xor(a, b), c) == xor(a, xor(b, c))
@@ -130,6 +141,75 @@ def test_equality_ignores_construction_order():
     assert hash(BinaryGrid([(1, 2)])) == hash(BinaryGrid([(1, 2)]))
 
 
+@given(any_grids, any_grids)
+def test_equality_and_hash_follow_the_cell_set(a, b):
+    same = BinaryGrid(sorted(a.cells(), reverse=True))
+    assert same == a and hash(same) == hash(a)
+    assert (a == b) == (a.cells() == b.cells())
+    assert all(c in a for c in a.cells())
+    assert all((c in a) == (c in a.cells()) for c in b.cells())
+
+
+def same_cells(g, want):
+    """g holds exactly ``want``, and is == and hash-equal to the grid that
+    a list of those cells builds."""
+    ref = BinaryGrid(list(want))
+    assert g.cells() == want
+    assert g == ref and hash(g) == hash(ref)
+
+
+@settings(deadline=None)
+@given(any_grids, any_grids, st.integers(-70, 70), st.integers(-70, 70),
+       st.integers(0, 3), st.integers(0, 70), st.integers(0, 3))
+@example(BinaryGrid([(0, 0), (2, 127)]), BinaryGrid([(0, 127)]), 0, 64, 1,
+         64, 1)
+def test_every_path_builds_the_canonical_grid(a, b, dx, dy, rows, cols, k):
+    """The same cell set makes an == and hash-equal grid whichever path
+    built it; the padding moves a window's columns across word edges."""
+    ca, cb = a.cells(), b.cells()
+    same_cells(BinaryGrid(list(ca)), ca)
+    win = np.zeros((a.window.shape[0] + 2 * rows,
+                    a.window.shape[1] + 2 * cols), np.uint8)
+    win[rows:win.shape[0] - rows, cols:win.shape[1] - cols] = a.window
+    i0, j0 = a.origin
+    same_cells(BinaryGrid.from_window(win, i0 - rows, j0 - cols), ca)
+    same_cells(xor(a, b), ca ^ cb)
+    same_cells(xor(xor(a, b), b), ca)
+    moved = {(i + dx, j + dy) for i, j in ca}
+    same_cells(shift(a, dx, dy), moved)
+    same_cells(a * BinaryGrid([(dx, dy)]), moved)
+    d = 1 << k
+    same_cells(a.pow_2k(k), {(d * i, d * j) for i, j in ca})
+    for rule in Rule:
+        same_cells(first_order_step(rule, a), dense_step(rule, a).cells())
+    want = SecondOrderState(a, b)
+    for s in trajectory(Rule.C3, 3, SecondOrderState(a, b)):
+        same_cells(s.current, want.current.cells())
+        same_cells(s.previous, want.previous.cells())
+        want = second_order_step(Rule.C3, want, dense_step)
+
+
+def test_coordinates_past_int64_raise_value_error():
+    # the writer stays exact past int64; every reader of index_arrays
+    # raises ValueError instead of wrapping, and so does a cell list
+    edge = shift(BinaryGrid([(0, 0)]), 2**63 - 1, -2**63)
+    assert edge.cells() == {(2**63 - 1, -2**63)}
+    past = shift(BinaryGrid([(0, 0), (1, 3)]), 2**63 - 1, 0)
+    assert grid_to_text(past) == \
+        f"#bgrid v1 count=2\n{2**63 - 1} 0\n{2**63} 3\n"
+    reads = (BinaryGrid.index_arrays, BinaryGrid.cells, list, repr,
+             diagonal_embed, diagonal_extract,
+             lambda g: render(SecondOrderState(g, EMPTY), 1, "txt"))
+    below, right = shift(past, -2**64, 0), shift(BinaryGrid([(0, 0)]), 0, 2**64)
+    for g in (past, below, right):
+        for read in reads:
+            with pytest.raises(ValueError, match="leaves int64"):
+                read(g)
+    for cell in ((2**63, 0), (0, -2**63 - 1), (2**70, 2**70)):
+        with pytest.raises(ValueError, match="leaves int64"):
+            BinaryGrid([cell])
+
+
 def test_text_round_trip():
     g = BinaryGrid([(3, -1), (-2, 7), (0, 0)])
     text = grid_to_text(g)
@@ -182,7 +262,7 @@ def test_text_parser_fuzz(text):
     assert grid_from_text(grid_to_text(g)) == g
 
 
-@given(grids)
+@given(any_grids)
 def test_text_lines_are_sorted_cells(g):
     lines = grid_to_text(g).splitlines()
     assert lines[0] == f"#bgrid v1 count={len(g)}"
@@ -195,7 +275,7 @@ formats = st.sampled_from([(grid_to_text, grid_from_text, "#bgrid", "count"),
 far = st.integers(-2**40, 2**40)
 
 
-@given(grids, far, far, formats)
+@given(any_grids, far, far, formats)
 @example(BinaryGrid(), 0, 0, (grid_to_text, grid_from_text, "#bgrid", "count"))
 @example(BinaryGrid([(4, -7)]), 0, 0,
          (poly_to_text, poly_from_text, "#lpoly", "terms"))

@@ -25,6 +25,13 @@ strips = st.builds(
     st.frozensets(st.tuples(st.integers(0, 2), st.integers(0, 15)),
                   max_size=12),
     st.integers(-40, 40), st.integers(-40, 40))
+# a few rows with columns around the 64-bit word edges of a grid's rows,
+# so factors and products span several words
+wide_cols = st.one_of(st.integers(-140, 140),
+                      st.sampled_from([-129, -128, -65, -64, -1, 63, 64, 127,
+                                       128]))
+wide = st.frozensets(st.tuples(st.integers(-3, 3), wide_cols),
+                     max_size=10).map(LaurentPoly2)
 
 
 def sparse_product(p, q):
@@ -64,7 +71,7 @@ def test_freshmans_dream(p, q):
     assert (p + q).square() == p.square() + q.square()
 
 
-@given(st.one_of(polys, strips), st.one_of(polys, strips),
+@given(st.one_of(polys, strips, wide), st.one_of(polys, strips, wide),
        st.integers(0, 3))
 def test_products_match_sparse_oracle(p, q, k):
     # == on grids also checks that each result window is tightly cropped

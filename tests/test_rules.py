@@ -3,11 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from revca.grid import (EMPTY, BinaryGrid, SecondOrderState, count_values,
-                        diagonal_extract, shift, single_seed, swap_x, xor)
-from revca.rules import (Rule, _popcount, _walk, evolve, first_order_step,
-                         parse_rule, second_order_inverse, second_order_step,
-                         trajectory, trajectory_counts)
+from revca.grid import (EMPTY, BinaryGrid, SecondOrderState, _popcount,
+                        count_values, diagonal_extract, shift, single_seed,
+                        swap_x, xor)
+from revca.rules import (Rule, _walk, evolve, first_order_step, parse_rule,
+                         second_order_inverse, second_order_step, trajectory,
+                         trajectory_counts)
 
 from oracle import dense_step
 

@@ -139,6 +139,10 @@ def test_table_exports():
         {"n": 1, "R": 5, "R1": 4, "R2": 1},
         {"n": 2, "R": 9, "R1": 5, "R2": 4},
     ]
+    # the named columns after n, in the order given
+    assert tab.to_csv(["R2", "R"]) == "n,R2,R\n0,0,1\n1,1,5\n2,4,9\n"
+    assert tab.to_json_obj(["R1"]) == [{"n": 0, "R1": 1}, {"n": 1, "R1": 4},
+                                       {"n": 2, "R1": 5}]
 
 
 def test_relation_violation_is_unreachable_but_raisable():
