@@ -6,22 +6,23 @@ reversibility, polynomial state formula, coloring, sublattice embedding,
 diamond landmarks, backward growth) and returns a :class:`SuiteReport`
 with an explicit witness on failure.
 
-Every suite derives each state it checks once.  The lift trajectories
-come from the one stepping loop of :mod:`revca.rules`, whose bit-packed
-planes ``counts`` and ``coloring`` read; ``replication`` steps one
-first-order seed trajectory per rule.  Every suite takes a ``step_fn`` so
-tests can inject a deliberately corrupted local rule and confirm the suite
-catches it; production callers never pass it.
+Every state a suite checks comes from the one stepping loop of
+:mod:`revca.rules`, whose bit-packed planes ``counts`` and ``coloring``
+read.  ``polynomial`` and ``backward_growth`` share one growth check that
+reads three walks in lockstep and stores none; only ``reversibility``
+keeps a whole trajectory.  Every suite takes a ``step_fn`` so tests can
+inject a deliberately corrupted local rule and confirm the suite catches
+it; production callers never pass it.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import pairwise
+from itertools import islice, pairwise
 from dataclasses import asdict, dataclass
 
 from . import sequences as seq
-from .gf2poly import PolyPair, fib_poly_eval, state_poly_at, transition_poly
+from .gf2poly import state_poly_at, transition_poly
 from .grid import (BinaryGrid, SecondOrderState, diagonal_extract,
                    single_seed, swap_x)
 from .rules import (MAX_SEED_STEPS, Rule, StepFn, _walk, first_order_step,
@@ -163,9 +164,10 @@ def suite_polynomial(n_max: int = 128,
                      step_fn: StepFn = first_order_step) -> SuiteReport:
     """State formula (f_{n+1}(T), f_n(T)) matches simulation; decompositions hold.
 
-    For every n = 2^k + j in range it also checks the five-pattern split of
-    f_n over T_C1 with pairwise-disjoint supports, and the pair composition
-    P[C_n] = T^{2^k} P[C_j] + P[X C_{2^k-j-1}] for both linear rules.
+    Once every state up to n_max equals its ladder polynomials, the growth
+    check reads C_n = T^{2^k} C_j + X C_{2^k-j-1}, n = 2^k + j, and the
+    five-pattern split of f_n off walks, for both linear rules and both
+    components, with disjoint supports (see :func:`_growth_witness`).
     """
     name, rng = "polynomial", f"n=0..{n_max}"
     for rule in (Rule.C1, Rule.C2):
@@ -175,42 +177,43 @@ def suite_polynomial(n_max: int = 128,
                 return _fail(name, rng,
                              f"rule={rule.value} n={n}: polynomial state "
                              f"differs from simulation")
-    T1 = transition_poly(Rule.C1)
-    for k in range(n_max.bit_length()):
-        d = 1 << k  # every n = d + j checked is at most n_max
-        for j in range(1, min(d, n_max - d) + 1):
-            w = _five_pattern_witness(T1, k, j)
-            if w:
-                return _fail(name, rng, w)
-        for j in range(min(d, n_max - d + 1)):
-            for rule in (Rule.C1, Rule.C2):
-                if _pair_composition(rule, k, j) is None:
-                    return _fail(name, rng,
-                                 f"rule={rule.value} n=2^{k}+{j}: pair "
-                                 f"composition identity failed")
+    for rule in (Rule.C1, Rule.C2):
+        if w := _growth_witness(rule, transition_poly(rule), n_max, step_fn):
+            return _fail(name, rng, f"rule={rule.value} {w}")
     return _ok(name, rng)
 
 
-def _pair_composition(rule: Rule, k: int, j: int) -> PolyPair | None:
-    """The outer term T^{2^k} P[C_j] if P[C_{2^k+j}] = T^{2^k} P[C_j] +
-    P[X C_{2^k-j-1}] holds (X swaps the pair), else None."""
-    t2k = transition_poly(rule).pow_2k(k)
-    pj = state_poly_at(rule, j)
-    back = state_poly_at(rule, (1 << k) - j - 1)
-    outer = PolyPair(t2k * pj.first, t2k * pj.second)
-    want = PolyPair(outer.first + back.second, outer.second + back.first)
-    return outer if state_poly_at(rule, (1 << k) + j) == want else None
+def _growth_witness(rule: Rule, T: BinaryGrid, n_max: int,
+                    step_fn: StepFn) -> str | None:
+    """Check C_{2^k+j} = T^{2^k} C_j + X C_{2^k-1-j} for 1 <= 2^k + j <= n_max.
 
-
-def _five_pattern_witness(T1, k: int, j: int) -> str | None:
-    """Check f_{2^k+j} = T^{2^k} f_j + f_{2^k-j} over T_C1 with 5 disjoint parts."""
-    d = 1 << k
-    outer = _copies(T1, d, fib_poly_eval(T1, j))
-    central = fib_poly_eval(T1, d - j)
-    if outer is None or len(outer + central) != len(outer) + len(central):
-        return f"n=2^{k}+{j}: five-pattern supports overlap"
-    if outer + central != fib_poly_eval(T1, d + j):
-        return f"n=2^{k}+{j}: five-pattern union != f_n"
+    For each k three walks yield C_{2^k+j}, C_j and C_{2^k-1-j} in
+    lockstep and store no state: the seed trajectory, a walk from the seed
+    and one backward from C_{2^k-1}.  A walk's second component is the
+    first of the state before, so first components check both; that of
+    C_{2^k+j} is the five-pattern split f_m = T^{2^k} f_{m-2^k} +
+    f_{2^{k+1}-m} at m = 2^k + j + 1: its four outer copies (``_copies``)
+    and its central pattern must be disjoint and xor to it.  At j = 0 the
+    outer copies of the seed must first be T^{2^k}'s 4 terms.  None if all
+    hold.
+    """
+    main = trajectory(rule, n_max, step_fn=step_fn)
+    last = next(main)  # C_{2^k-1}, here C_0
+    for k in range(n_max.bit_length()):
+        d = 1 << k
+        steps = min(d, n_max - d + 1)  # j = 0..steps-1
+        runs = zip(islice(main, steps),
+                   trajectory(rule, steps - 1, step_fn=step_fn),
+                   trajectory(rule, 1 - steps, last, step_fn))
+        for j, (s, cj, back) in enumerate(runs):
+            outer, mid = _copies(T, d, cj.current), back.previous
+            if j == 0 and len(outer) != 4:
+                return f"n=2^{k}: outer copies are not 4 seeds"
+            if outer is None or len(outer + mid) != len(outer) + len(mid):
+                return f"n=2^{k}+{j}: decomposition supports overlap"
+            if outer + mid != s.current:
+                return f"n=2^{k}+{j}: decomposition failed"
+            last = s
     return None
 
 
@@ -295,11 +298,13 @@ def suite_backward_growth(k_max: int = 6,
                           step_fn: StepFn = first_order_step) -> SuiteReport:
     """Backward dynamics of the central region in the growth decomposition.
 
-    For n = 2^k + j the decomposition P[C_n] = T^{2^k} P[C_j] +
-    P[X C_{2^k-j-1}] has a swapped earlier state in the center, shrinking
-    by one index per step; the lift maps X C_i to X C_{i-1}; and at
-    j = 2^k - 1 the next step's decomposition is a single central
-    X C_{2^{k+1}-1} plus four seed cells at the corners.
+    For n = 2^k + j the decomposition C_n = T^{2^k} C_j + X C_{2^k-j-1}
+    has a swapped earlier state in the center, shrinking by one index per
+    step; the lift maps X C_i to X C_{i-1}; and at j = 2^k - 1 the next
+    step's decomposition is a single central X C_{2^{k+1}-1} plus four
+    seed cells at the corners.  The decomposition, with disjoint supports
+    in both components, and the 4 seeds are read off walks for every n up
+    to 2^{k_max+1} (see :func:`_growth_witness`).
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -309,17 +314,8 @@ def suite_backward_growth(k_max: int = 6,
     for i, (before, s) in enumerate(pairs, 1):
         if second_order_step(Rule.C1, swap_x(s), step_fn) != swap_x(before):
             return _fail(name, rng, f"F(X C_{i}) != X C_{i - 1}")
-    for k in range(1, k_max + 1):
-        for j in range(1 << k):
-            if _pair_composition(Rule.C1, k, j) is None:
-                return _fail(name, rng, f"n=2^{k}+{j}: decomposition failed")
-        # boundary: after j = 2^k - 1 the outer copies merge into the center
-        outer = _pair_composition(Rule.C1, k + 1, 0)
-        if outer is None:
-            return _fail(name, rng, f"n=2^{k + 1}: merge step decomposition failed")
-        if len(outer.first) != 4:
-            return _fail(name, rng, f"n=2^{k + 1}: outer copies are not 4 seeds")
-    return _ok(name, rng)
+    w = _growth_witness(Rule.C1, transition_poly(Rule.C1), 2 << k_max, step_fn)
+    return _fail(name, rng, w) if w else _ok(name, rng)
 
 
 #: suite name -> (function, default range argument)
@@ -338,9 +334,11 @@ SUITES = {
 
 #: smallest range argument that checks anything; 0 for suites not listed
 _LEAST_RANGE = {"backward_growth": 1}
-#: largest k of each 2^k suite that runs within 60 s and 1 GiB; diamond's
+#: largest range argument of each suite that runs within 60 s and 1 GiB
+#: (reversibility keeps its trajectory, whose cells grow as n^3); diamond's
 #: is the walk's own bound, the last 2^k - 1 <= MAX_SEED_STEPS
-_GREATEST_RANGE = {"replication": 10, "backward_growth": 9,
+_GREATEST_RANGE = {"replication": 10, "reversibility": 1750,
+                   "backward_growth": 10,
                    "diamond": (MAX_SEED_STEPS + 1).bit_length() - 1}
 
 

@@ -2,11 +2,14 @@
 
 ``revca.rules`` runs every rule on bit-packed words; :func:`dense_step`
 counts neighbors on a uint8 window instead.  ``revca.grid`` writes text
-row by row; :func:`cell_text` formats one line per cell.
+row by row; :func:`cell_text` formats one line per cell.  ``revca.verify``
+reads the growth decomposition off walks; :func:`pair_composition` builds
+it from three doubling ladders.
 """
 
 import numpy as np
 
+from revca.gf2poly import PolyPair, state_poly_at, transition_poly
 from revca.grid import BinaryGrid
 from revca.rules import Rule
 
@@ -44,3 +47,14 @@ def cell_text(g: BinaryGrid, tag: str, key: str) -> str:
     lines = [f"{tag} v1 {key}={len(ii)}"]
     lines.extend(f"{i} {j}" for i, j in zip(ii.tolist(), jj.tolist()))
     return "\n".join(lines) + "\n"
+
+
+def pair_composition(rule: Rule, k: int, j: int) -> PolyPair | None:
+    """The outer term T^{2^k} P[C_j] if P[C_{2^k+j}] = T^{2^k} P[C_j] +
+    P[X C_{2^k-j-1}] holds (X swaps the pair), else None."""
+    t2k = transition_poly(rule).pow_2k(k)
+    pj = state_poly_at(rule, j)
+    back = state_poly_at(rule, (1 << k) - j - 1)
+    outer = PolyPair(t2k * pj.first, t2k * pj.second)
+    want = PolyPair(outer.first + back.second, outer.second + back.first)
+    return outer if state_poly_at(rule, (1 << k) + j) == want else None

@@ -10,6 +10,7 @@ from revca.cli import _sequence_columns, main, state_from_text, state_to_text
 from revca.gf2poly import state_poly_at
 from revca.grid import single_seed
 from revca.rules import Rule, evolve
+from revca.verify import _GREATEST_RANGE
 
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
@@ -240,6 +241,16 @@ def test_range_ceiling_exit_2(capsys, suite):
     t0 = time.perf_counter()
     code, out, err = run(capsys, "verify", "--suite", suite, "--max",
                          str(10**20))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "ceiling" in err
+
+
+@pytest.mark.parametrize("suite", sorted(_GREATEST_RANGE))
+def test_one_above_the_ceiling_exit_2(capsys, suite):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--suite", suite, "--max",
+                         str(_GREATEST_RANGE[suite] + 1))
     assert time.perf_counter() - t0 < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error:") and "ceiling" in err

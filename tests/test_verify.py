@@ -5,12 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from revca import verify
+from revca import gf2poly, verify
 from revca.gf2poly import transition_poly
 from revca.grid import EMPTY, BinaryGrid, SecondOrderState, shift, xor
-from revca.rules import Rule, _Planes, first_order_step
+from revca.rules import Rule, _Planes, first_order_step, trajectory
 
-from oracle import neighbor_sums
+from oracle import neighbor_sums, pair_composition
 
 
 def corrupt_c3_threshold_2(rule, g):
@@ -275,6 +275,59 @@ def test_backward_growth_negative_control():
     report = verify.suite_backward_growth(3, step_fn=drifting_c1(1))
     assert not report.passed
     assert report.witness == "F(X C_1) != X C_0"
+
+
+@pytest.mark.parametrize("rule", [Rule.C1, Rule.C2])
+def test_growth_witness_five_term_t(rule):
+    # the 4-seeds check comes first, so a fifth term stops at n = 2^0
+    T = transition_poly(rule) + BinaryGrid([(0, 0)])
+    assert verify._growth_witness(rule, T, 8, first_order_step) == \
+        "n=2^0: outer copies are not 4 seeds"
+
+
+@pytest.mark.parametrize("rule, other", [(Rule.C1, Rule.C2),
+                                         (Rule.C2, Rule.C1)])
+def test_growth_witness_wrong_four_term_t(rule, other):
+    assert verify._growth_witness(rule, transition_poly(other), 8,
+                                  first_order_step) == \
+        "n=2^0+0: decomposition failed"
+
+
+def test_growth_witness_overlap():
+    # a linear rule anchored at its corner: the outer copy T^2 C_0 and the
+    # central X C_1 both hold the origin, though the sum is right for any T
+    T = BinaryGrid([(0, 0), (0, 2), (2, 0), (2, 2)])
+    assert verify._growth_witness(Rule.C1, T, 8, lambda rule, g: T * g) == \
+        "n=2^1+0: decomposition supports overlap"
+
+
+def test_backward_growth_runs_no_ladder(monkeypatch):
+    def ladder(*args):
+        raise AssertionError("a doubling ladder ran")
+
+    monkeypatch.setattr(verify, "state_poly_at", ladder)
+    monkeypatch.setattr(gf2poly, "fib_poly_eval", ladder)
+    monkeypatch.setattr(gf2poly, "_fib_pair", ladder)
+    assert not hasattr(verify, "fib_poly_eval")
+    assert verify.suite_backward_growth(4).passed
+    with pytest.raises(AssertionError, match="ladder"):
+        verify.suite_polynomial(2)
+
+
+@pytest.mark.parametrize("rule", [Rule.C1, Rule.C2])
+def test_growth_walks_match_the_ladder_identity(rule):
+    T, states = transition_poly(rule), list(trajectory(rule, 32))
+    for k in range(5):
+        d = 1 << k
+        for j in range(d):
+            outer = pair_composition(rule, k, j)
+            assert outer is not None
+            cj, back, s = states[j], states[d - 1 - j], states[d + j]
+            assert verify._copies(T, d, cj.current) == outer.first
+            assert verify._copies(T, d, cj.previous) == outer.second
+            assert outer.first + back.previous == s.current
+            assert outer.second + back.current == s.previous
+    assert verify._growth_witness(rule, T, 32, first_order_step) is None
 
 
 def test_witness_present_iff_failed():
