@@ -6,9 +6,10 @@ when one orthogonal neighbor is occupied, and C3' additionally requires
 all four diagonal neighbors empty.
 
 The lift of a first-order rule f is F: (c, c') -> (f[c] xor c', c), which
-is reversible; lift names R1, R2, R3, R3p mirror the rule names.
-``trajectory`` walks a lift from a state (by default the single seed)
-forward or backward and yields every state on the way.
+is reversible: F^-1 = X F X, where X swaps the components.  Lift names
+R1, R2, R3, R3p mirror the rule names.  ``trajectory`` walks a lift from
+a state (by default the single seed) forward, or backward as the forward
+walk of the swapped state, and yields every state on the way.
 
 Each rule has one kernel, ``_rule_words``, on the bit-packed rows that a
 :class:`~revca.grid.BinaryGrid` keeps.  ``first_order_step`` runs it on
@@ -27,7 +28,7 @@ import numpy as np
 
 from .grid import (_WORD, MAX_PARSED_WINDOW, BinaryGrid, CountRecord,
                    SecondOrderState, _crop, _popcount, _tight_box, _wrap_tight,
-                   _xor_at, single_seed, xor)
+                   _xor_at, single_seed, swap_x, xor)
 
 
 class Rule(enum.Enum):
@@ -107,7 +108,8 @@ def second_order_step(rule: Rule, s: SecondOrderState,
 
 def second_order_inverse(rule: Rule, s: SecondOrderState,
                          step_fn: StepFn = first_order_step) -> SecondOrderState:
-    """Backward step: (a, b) -> (b, f[b]+a); inverse of the forward step."""
+    """Backward step: (a, b) -> (b, f[b]+a); inverse of the forward step.
+    Walks step back by X F X instead, and the tests compare the two."""
     return SecondOrderState(s.previous,
                             xor(step_fn(rule, s.previous), s.current))
 
@@ -120,18 +122,15 @@ class _Planes:
     """The two newest states X_{k+1}, X_k of a walk X_{k+1} = f(X_k) + X_{k-1}
     on two preallocated bit-packed planes (rows along i, bits along j).
 
-    Index 0 is the newest plane: the current component of a forward walk,
-    the previous one of a backward walk (``back``).  Each plane keeps its
-    tight box in plane coordinates (r0, r1, c0, c1), half-open, or None
+    Index 0 is the newest plane, the current component.  Each plane keeps
+    its tight box in plane coordinates (r0, r1, c0, c1), half-open, or None
     when empty, and the BinaryGrid it holds once one has been handed out.
     f grows a box by one per step, so planes over both boxes grown by
-    |n|+1 hold a walk of |n| steps.
+    n+1 hold a walk of n steps.
     """
 
-    def __init__(self, s: SecondOrderState, back: bool, margin: int):
-        self.back = back
-        self.grids: list[BinaryGrid | None] = (
-            [s.previous, s.current] if back else [s.current, s.previous])
+    def __init__(self, s: SecondOrderState, margin: int):
+        self.grids: list[BinaryGrid | None] = [s.current, s.previous]
         boxes = [g.bounds() for g in self.grids if g] or [(0, 0, 0, 0)]
         lo_i, hi_i, lo_j, hi_j = zip(*boxes)
         i0, j0 = min(lo_i) - margin, min(lo_j) - margin
@@ -189,8 +188,7 @@ class _Planes:
 
     def state(self) -> SecondOrderState:
         """The walk's (current, previous) state as grids."""
-        new, old = self.grid(0), self.grid(1)
-        return SecondOrderState(*((old, new) if self.back else (new, old)))
+        return SecondOrderState(self.grid(0), self.grid(1))
 
     def tally(self, n: int) -> CountRecord:
         """``count_values`` of the state, from popcounts of both planes and
@@ -201,31 +199,29 @@ class _Planes:
                     for p in self.planes)
         both = _popcount(new & old)
         a, b = _popcount(new) - both, _popcount(old) - both
-        return CountRecord(n, *((b, a) if self.back else (a, b)), both,
-                           a + b + both)
+        return CountRecord(n, a, b, both, a + b + both)
 
 
 def _walk(rule: Rule, n: int, s: SecondOrderState,
           step_fn: StepFn) -> Iterator[_Planes]:
-    """The one stepping loop: yields the walk's planes at steps 0..|n|.
+    """The one stepping loop: yields the walk's planes at steps 0..n, n >= 0.
 
     With the rule's own ``first_order_step`` one ``_Planes`` is stepped in
     place, so a consumer reads it (``state``, ``tally``, ``off_lattice``)
-    before it asks for the next step.  A backward walk runs the recurrence on
-    (previous, current): (a, b) -> (b, f[b]+a) is the forward recurrence
-    with the planes' roles swapped.  A substitute ``step_fn`` may move
+    before it asks for the next step.  A substitute ``step_fn`` may move
     cells anywhere, so it steps grid by grid and packs each new state
     into fresh planes that are only read.
     """
-    back, own = n < 0, step_fn is first_order_step
-    planes = _Planes(s, back, abs(n) + 1 if own else 0)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    own = step_fn is first_order_step
+    planes = _Planes(s, n + 1 if own else 0)
     yield planes
-    step = second_order_inverse if back else second_order_step
-    for _ in range(abs(n)):
+    for _ in range(n):
         if own:
             planes.step(rule)
         else:
-            planes = _Planes(step(rule, planes.state(), step_fn), back, 0)
+            planes = _Planes(second_order_step(rule, planes.state(), step_fn), 0)
         yield planes
 
 
@@ -233,13 +229,16 @@ def trajectory(rule: Rule, n: int, s: SecondOrderState | None = None,
                step_fn: StepFn = first_order_step) -> Iterator[SecondOrderState]:
     """The states at steps 0..|n| from ``s`` (default: the single seed).
 
-    Steps go forward for n >= 0 and backward for n < 0, in ``_walk``.
+    Steps go forward for n >= 0, in ``_walk``, and backward for n < 0 by
+    F^-1 = X F X: the forward walk of the swapped state, swapped back.
     Each yielded state holds one newly copied grid; its other grid is
     the one yielded a step before.  Raises ValueError when a plane of the
     rule's own walk would span more than ``MAX_PARSED_WINDOW`` cells.
     """
-    walk = _walk(rule, n, single_seed() if s is None else s, step_fn)
-    return (planes.state() for planes in walk)
+    s = single_seed() if s is None else s
+    if n < 0:
+        return map(swap_x, trajectory(rule, -n, swap_x(s), step_fn))
+    return (planes.state() for planes in _walk(rule, n, s, step_fn))
 
 
 def evolve(rule: Rule, s: SecondOrderState, n: int,
@@ -247,6 +246,8 @@ def evolve(rule: Rule, s: SecondOrderState, n: int,
     """Apply n forward steps (n >= 0) or |n| inverse steps (n < 0)."""
     if n == 0:  # no planes, which a loaded state may be too wide for
         return s
+    if n < 0:  # F^-1 = X F X, as in ``trajectory``
+        return swap_x(evolve(rule, swap_x(s), -n, step_fn))
     *_, planes = _walk(rule, n, s, step_fn)
     return planes.state()
 
@@ -254,7 +255,5 @@ def evolve(rule: Rule, s: SecondOrderState, n: int,
 def trajectory_counts(rule: Rule, n_max: int,
                       step_fn: StepFn = first_order_step) -> list[CountRecord]:
     """Tallies of the seed trajectory for n = 0..n_max, read off the planes."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
     return [planes.tally(n) for n, planes
             in enumerate(_walk(rule, n_max, single_seed(), step_fn))]

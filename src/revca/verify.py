@@ -9,8 +9,9 @@ with an explicit witness on failure.
 Every state a suite checks comes from the one stepping loop of
 :mod:`revca.rules`, whose bit-packed planes ``counts`` and ``coloring``
 read.  ``polynomial`` and ``backward_growth`` share one growth check that
-reads three walks in lockstep and stores none; only ``reversibility``
-keeps a whole trajectory.  Every suite takes a ``step_fn`` so tests can
+reads three walks in lockstep, and ``reversibility`` and
+``backward_growth`` one undo check that reads one walk; no suite keeps
+a whole trajectory.  Every suite takes a ``step_fn`` so tests can
 inject a deliberately corrupted local rule and confirm the suite catches
 it; production callers never pass it.
 """
@@ -25,8 +26,8 @@ from . import sequences as seq
 from .gf2poly import state_poly_at, transition_poly
 from .grid import (BinaryGrid, SecondOrderState, diagonal_extract,
                    single_seed, swap_x)
-from .rules import (MAX_SEED_STEPS, Rule, StepFn, _walk, first_order_step,
-                    second_order_inverse, second_order_step, trajectory,
+from .rules import (MAX_SEED_STEPS, Rule, StepFn, _walk, evolve,
+                    first_order_step, second_order_step, trajectory,
                     trajectory_counts)
 from .sequences import SeqId
 
@@ -140,24 +141,27 @@ def _copies(T: BinaryGrid, d: int, g: BinaryGrid) -> BinaryGrid | None:
 
 def suite_reversibility(n_max: int = 256,
                         step_fn: StepFn = first_order_step) -> SuiteReport:
-    """Forward/backward round trips recover the seed; X F X = F^-1."""
+    """X F X undoes F along all four seed walks (see :func:`_undo_witness`)."""
     name, rng = "reversibility", f"n=0..{n_max}"
     for rule in Rule:
-        traj = list(trajectory(rule, n_max, step_fn=step_fn))
-        back = trajectory(rule, -n_max, traj[-1], step_fn)
-        for n, s in zip(range(n_max, -1, -1), back):
-            if s != traj[n]:
-                return _fail(name, rng,
-                             f"rule={rule.value}: backward step to n={n} "
-                             f"diverged: {_state_diff(s, traj[n])}")
-        for n, t in enumerate(traj):
-            lhs = second_order_inverse(rule, t, step_fn)
-            rhs = swap_x(second_order_step(rule, swap_x(t), step_fn))
-            if lhs != rhs:
-                return _fail(name, rng,
-                             f"rule={rule.value} n={n}: X F X != F^-1")
-        del traj  # else the next rule's list is built while this one lives
+        if w := _undo_witness(rule, n_max, step_fn):
+            return _fail(name, rng, f"rule={rule.value} {w}")
     return _ok(name, rng)
+
+
+def _undo_witness(rule: Rule, n_max: int, step_fn: StepFn) -> str | None:
+    """None if F(X C_i) = X C_{i-1}, 1 <= i <= n_max, on one walk that stores
+    no state, and C_{n_max} walked back n_max steps is the seed; else a
+    witness.  F^-1 is a bijection, so a walk back that errs at one step and
+    at no later one misses the seed."""
+    last = single_seed()
+    walk = pairwise(trajectory(rule, n_max, step_fn=step_fn))
+    for i, (before, last) in enumerate(walk, 1):
+        if second_order_step(rule, swap_x(last), step_fn) != swap_x(before):
+            return f"F(X C_{i}) != X C_{i - 1}"
+    if evolve(rule, last, -n_max, step_fn) != single_seed():
+        return f"C_{n_max} walked back {n_max} steps is not the seed"
+    return None
 
 
 def suite_polynomial(n_max: int = 128,
@@ -302,19 +306,16 @@ def suite_backward_growth(k_max: int = 6,
     has a swapped earlier state in the center, shrinking by one index per
     step; the lift maps X C_i to X C_{i-1}; and at j = 2^k - 1 the next
     step's decomposition is a single central X C_{2^{k+1}-1} plus four
-    seed cells at the corners.  The decomposition, with disjoint supports
-    in both components, and the 4 seeds are read off walks for every n up
-    to 2^{k_max+1} (see :func:`_growth_witness`).
+    seed cells at the corners.  The lift's step on X C_i and the walk back
+    to the seed are checked up to n = 2^{k_max} (:func:`_undo_witness`),
+    the decomposition, with disjoint supports in both components, and the
+    4 seeds for every n up to 2^{k_max+1} (:func:`_growth_witness`).
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     name, rng = "backward_growth", f"k=1..{k_max}"
-    # F(X C_i) = X C_{i-1} on consecutive states (before, s) = (C_{i-1}, C_i)
-    pairs = pairwise(trajectory(Rule.C1, 1 << k_max, step_fn=step_fn))
-    for i, (before, s) in enumerate(pairs, 1):
-        if second_order_step(Rule.C1, swap_x(s), step_fn) != swap_x(before):
-            return _fail(name, rng, f"F(X C_{i}) != X C_{i - 1}")
-    w = _growth_witness(Rule.C1, transition_poly(Rule.C1), 2 << k_max, step_fn)
+    w = (_undo_witness(Rule.C1, 1 << k_max, step_fn) or _growth_witness(
+        Rule.C1, transition_poly(Rule.C1), 2 << k_max, step_fn))
     return _fail(name, rng, w) if w else _ok(name, rng)
 
 
@@ -335,9 +336,9 @@ SUITES = {
 #: smallest range argument that checks anything; 0 for suites not listed
 _LEAST_RANGE = {"backward_growth": 1}
 #: largest range argument of each suite that runs within 60 s and 1 GiB
-#: (reversibility keeps its trajectory, whose cells grow as n^3); diamond's
-#: is the walk's own bound, the last 2^k - 1 <= MAX_SEED_STEPS
-_GREATEST_RANGE = {"replication": 10, "reversibility": 1750,
+#: (reversibility's four walks and their walks back take time as n^3);
+#: diamond's is the walk's own bound, the last 2^k - 1 <= MAX_SEED_STEPS
+_GREATEST_RANGE = {"replication": 10, "reversibility": 2200,
                    "backward_growth": 10,
                    "diamond": (MAX_SEED_STEPS + 1).bit_length() - 1}
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from revca import rules
 from revca.grid import (EMPTY, BinaryGrid, SecondOrderState, _popcount,
                         count_values, diagonal_extract, shift, single_seed,
                         swap_x, xor)
@@ -173,10 +174,15 @@ def test_walk_grows_planes_for_a_drifting_step_fn(rule, n):
 @example(SecondOrderState(EMPTY, BinaryGrid([(0, 63), (2, 64)])), -5)
 @example(SecondOrderState(BinaryGrid([(0, -65)]), BinaryGrid([(0, -65)])), 9)
 def test_tally_matches_count_values(s, n):
-    # forward and backward walks; the boxes cross word edges as they grow
+    # forward and backward walks; the boxes cross word edges as they grow.
+    # A backward walk is the forward walk of swap_x(s), swapped back, so
+    # its tallies are those of the walk's planes with r1 and r2 exchanged
+    x = swap_x if n < 0 else (lambda t: t)
     for rule in Rule:
-        for k, planes in enumerate(_walk(rule, n, s, first_order_step)):
+        walk = _walk(rule, abs(n), x(s), first_order_step)
+        for k, (planes, t) in enumerate(zip(walk, trajectory(rule, n, s))):
             assert planes.tally(k) == count_values(planes.state(), k)
+            assert planes.tally(k) == count_values(x(t), k)
 
 
 @pytest.mark.parametrize("n", [-6, 6])
@@ -184,10 +190,36 @@ def test_tally_of_substitute_step_fn_planes(n):
     def displaced(rule, g):
         return shift(first_order_step(rule, g), 0, 1)
 
+    # a backward walk is the forward walk of swap_x(s), swapped back
+    x = swap_x if n < 0 else (lambda t: t)
     s = SecondOrderState(BinaryGrid([(0, 0), (1, 63)]), BinaryGrid([(0, 0)]))
-    recs = [p.tally(k) for k, p in enumerate(_walk(Rule.C2, n, s, displaced))]
+    walk = _walk(Rule.C2, abs(n), x(s), displaced)
+    recs = [p.tally(k) for k, p in enumerate(walk)]
     want = lift_steps(Rule.C2, n, s, displaced)
-    assert recs == [count_values(w, k) for k, w in enumerate(want)]
+    assert recs == [count_values(x(w), k) for k, w in enumerate(want)]
+
+
+@pytest.mark.parametrize("step_fn", [first_order_step, dense_step])
+def test_walks_step_back_without_the_inverse(monkeypatch, step_fn):
+    # F^-1 = X F X: backward walks are forward walks of the swapped state,
+    # on the rule's own planes and with a substitute rule alike
+    s = evolve(Rule.C1, single_seed(), 9)
+    want = {rule: lift_steps(rule, -12, s) for rule in Rule}
+
+    def inverse(*args):
+        raise AssertionError("second_order_inverse ran")
+
+    monkeypatch.setattr(rules, "second_order_inverse", inverse)
+    for rule in Rule:
+        assert list(trajectory(rule, -12, s, step_fn)) == want[rule]
+        assert evolve(rule, s, -12, step_fn) == want[rule][-1]
+
+
+def test_walk_refuses_negative_steps():
+    with pytest.raises(ValueError, match="nonnegative"):
+        next(_walk(Rule.C1, -1, single_seed(), first_order_step))
+    with pytest.raises(ValueError, match="nonnegative"):
+        trajectory_counts(Rule.C1, -1)
 
 
 def test_popcount_fallback_matches_bitwise_count(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 
 from revca import gf2poly, verify
 from revca.gf2poly import transition_poly
-from revca.grid import EMPTY, BinaryGrid, SecondOrderState, shift, xor
-from revca.rules import Rule, _Planes, first_order_step, trajectory
+from revca.grid import (EMPTY, BinaryGrid, SecondOrderState, shift,
+                        single_seed, swap_x, xor)
+from revca.rules import Rule, _Planes, evolve, first_order_step, trajectory
 
 from oracle import neighbor_sums, pair_composition
 
@@ -187,8 +189,8 @@ def test_copies_overlap_is_none(rule):
 def test_reversibility_negative_control():
     # a corrupted rule still satisfies reversibility (the lift construction
     # guarantees it), but conjugacy and round trips must still be exercised
-    # against a rule that breaks determinism of the comparison: corrupting
-    # only the forward direction of C2 breaks the stored-trajectory replay
+    # against a rule that breaks determinism of the comparison: a C2 step
+    # on every 7th call is shifted, here the one that checks C_2
     calls = {"n": 0}
 
     def flaky(rule, g):
@@ -200,6 +202,28 @@ def test_reversibility_negative_control():
 
     report = verify.suite_reversibility(8, step_fn=flaky)
     assert not report.passed
+    assert report.witness == "rule=C2 F(X C_2) != X C_1"
+
+
+def test_reversibility_round_trip_negative_control():
+    # C1's walk and its 8 step checks make 16 calls; the rule drifts on
+    # the walk back only, which the step checks cannot see
+    report = verify.suite_reversibility(8, step_fn=drifting_c1(16))
+    assert not report.passed
+    assert report.witness == "rule=C1 C_8 walked back 8 steps is not the seed"
+
+
+def test_reversibility_stores_no_trajectory():
+    # the suite's peak is a few states, not the 301 states of a whole walk
+    last = evolve(Rule.C1, single_seed(), 300)
+    state_bytes = last.current._w.nbytes + last.previous._w.nbytes
+    tracemalloc.start()
+    try:
+        assert verify.suite_reversibility(300).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * state_bytes
 
 
 def test_polynomial_negative_control():
@@ -248,8 +272,10 @@ edge_grids = st.frozensets(
 @example(BinaryGrid([(0, 1)]), EMPTY, False, 0)  # odd plane origin (0, 1)
 @example(BinaryGrid([(1, 0), (0, 63)]), BinaryGrid([(-1, 64)]), True, 1)
 def test_off_lattice_matches_cell_lists(a, b, back, margin):
-    # the margin moves the plane origin, so both parities of i0 + j0 occur
-    planes = _Planes(SecondOrderState(a, b), back, margin)
+    # the margin moves the plane origin, so both parities of i0 + j0 occur;
+    # a backward walk runs on the planes of the swapped state
+    s = SecondOrderState(a, b)
+    planes = _Planes(swap_x(s) if back else s, margin)
     for k in (0, 1):
         for par in (0, 1):
             for coset in (False, True):
