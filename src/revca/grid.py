@@ -115,8 +115,8 @@ class BinaryGrid:
     def index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Occupied coordinates as parallel int64 (i, j) arrays in sorted
         order; raises ValueError when a coordinate leaves int64."""
-        if self and not all(-2**63 <= v < 2**63 for v in self.bounds()):
-            raise ValueError("a cell coordinate leaves int64")
+        if self:
+            _int64_bounds(self)
         ri, rj = np.nonzero(self.window)
         return ri.astype(np.int64) + self._imin, rj.astype(np.int64) + self._jmin
 
@@ -209,6 +209,14 @@ class BinaryGrid:
 
 
 EMPTY = BinaryGrid()
+
+
+def _int64_bounds(g: BinaryGrid) -> tuple[int, int, int, int]:
+    """g.bounds() of a nonempty grid; ValueError when one leaves int64."""
+    b = g.bounds()
+    if not all(-2**63 <= v < 2**63 for v in b):
+        raise ValueError("a cell coordinate leaves int64")
+    return b
 
 
 # --- word helpers: a block xored in at any bit offset, and the edge-scan crop

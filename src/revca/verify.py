@@ -335,12 +335,15 @@ SUITES = {
 
 #: smallest range argument that checks anything; 0 for suites not listed
 _LEAST_RANGE = {"backward_growth": 1}
-#: largest range argument of each suite that runs within 60 s and 1 GiB
-#: (reversibility's four walks and their walks back take time as n^3);
-#: diamond's is the walk's own bound, the last 2^k - 1 <= MAX_SEED_STEPS
-_GREATEST_RANGE = {"replication": 10, "reversibility": 2200,
-                   "backward_growth": 10,
-                   "diamond": (MAX_SEED_STEPS + 1).bit_length() - 1}
+#: largest range argument of each suite, measured in a fresh process to run
+#: within 60 s and 1 GiB on a 2-core machine; no suite stores a trajectory,
+#: so time sets each one (a walk to n takes time as n^3), except diamond's,
+#: which is the walk's own bound: the last 2^k - 1 <= MAX_SEED_STEPS
+_GREATEST_RANGE = {"counts": 2600, "equivalence": 2500, "replication": 10,
+                   "reversibility": 2200, "polynomial": 2048,
+                   "coloring": 3100, "sublattice": 1500,
+                   "diamond": (MAX_SEED_STEPS + 1).bit_length() - 1,
+                   "backward_growth": 10}
 
 
 def _checked_limit(name: str, limit: int | None) -> int:
@@ -348,7 +351,7 @@ def _checked_limit(name: str, limit: int | None) -> int:
     limit = SUITES[name][1] if limit is None else limit
     if limit < _LEAST_RANGE.get(name, 0):
         raise ValueError(f"suite {name}: limit {limit} gives an empty range")
-    if limit > (top := _GREATEST_RANGE.get(name, limit)):
+    if limit > (top := _GREATEST_RANGE[name]):
         raise ValueError(f"suite {name}: limit {limit} is above its ceiling {top}")
     return limit
 

@@ -1,11 +1,15 @@
+import io
 import json
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from revca import sequences
+from revca import sequences, verify
 from revca.cli import _sequence_columns, main, state_from_text, state_to_text
 from revca.gf2poly import state_poly_at
 from revca.grid import single_seed
@@ -212,7 +216,7 @@ def test_verify_all_checks_every_range_first(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("simulate", "--rule", "R1", "--steps", "100000"),
-    ("verify", "--suite", "counts", "--max", str(10**20)),
+    ("render", "--rule", "R1", "--step", "100000"),
 ])
 def test_walk_size_guard_exit_2(capsys, argv):
     t0 = time.perf_counter()
@@ -235,7 +239,7 @@ def test_sequence_size_guard_exit_2(capsys, argv):
     assert err.startswith("error:") and "8190" in err
 
 
-@pytest.mark.parametrize("suite", ["diamond", "replication",
+@pytest.mark.parametrize("suite", ["counts", "diamond", "replication",
                                    "backward_growth", "all"])
 def test_range_ceiling_exit_2(capsys, suite):
     t0 = time.perf_counter()
@@ -284,3 +288,77 @@ def test_deterministic_output(capsys):
     a = run(capsys, "verify", "--suite", "replication", "--max", "3")
     b = run(capsys, "verify", "--suite", "replication", "--max", "3")
     assert a == b
+
+
+# --- cli.main fuzzing: whatever argparse accepts ends in exit 0 or exit 2 ---
+
+rule_names = st.sampled_from(["R1", "R2", "R3", "R3p", "C1", "C2", "C3", "C3p",
+                              "R4", "r1", ""])
+argvs = st.one_of(
+    st.builds(lambda r, n, f: ["simulate", "--rule", r, "--steps", str(n),
+                               "--format", f],
+              rule_names, st.integers(-12, 12), st.sampled_from(["txt", "json"])),
+    st.builds(lambda r, n, f: ["render", "--rule", r, "--step", str(n),
+                               "--format", f],
+              rule_names, st.integers(-12, 12),
+              st.sampled_from(["txt", "pbm", "ppm"])),
+    st.builds(lambda r, n: ["export", "--rule", r, "--steps", str(n)],
+              rule_names, st.integers(-12, 12)),
+    st.builds(lambda w, n, m, f, c: ["sequence", "--which", w, "--max", str(n),
+                                     "--method", m, "--format", f] + c,
+              st.sampled_from(["R", "R1", "R2", "all"]), st.integers(-3, 40),
+              st.sampled_from(["recursive", "alt", "sim", "poly"]),
+              st.sampled_from(["csv", "json"]),
+              st.sampled_from([[], ["--check"]])),
+    st.builds(lambda v, n, f: ["verify", "--suite", v, "--max", str(n),
+                               "--format", f],
+              st.sampled_from([*verify.SUITES, "all"]), st.integers(-2, 5),
+              st.sampled_from(["txt", "json"])),
+)
+
+#: saved states to mutate: the seed, and walks with negative coordinates
+state_texts = st.sampled_from([
+    state_to_text(single_seed()),
+    state_to_text(evolve(Rule.C1, single_seed(), 2)),
+    state_to_text(evolve(Rule.C2, single_seed(), -3)),
+])
+#: (operation, position, character): positions wrap around the text
+mutations = st.lists(st.tuples(st.sampled_from(["insert", "delete", "replace"]),
+                               st.integers(0, 200),
+                               st.sampled_from(list("0123456789- \n#bgrid v1count="))),
+                     max_size=4)
+
+
+def mutate(text, ops):
+    for op, pos, ch in ops:
+        k = pos % (len(text) + 1)
+        text = (text[:k] + ch + text[k + (op == "replace"):] if op != "delete"
+                else text[:k] + text[k + 1:])
+    return text
+
+
+def assert_exit_0_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, code, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith("error:"), (argv, err.getvalue())
+
+
+@settings(max_examples=250, deadline=None)
+@given(argvs)
+def test_main_exits_0_or_2_on_small_flags(argv):
+    assert_exit_0_or_2(argv)
+
+
+@settings(max_examples=350, deadline=None)
+@given(state_texts, mutations, st.sampled_from(["R1", "R2", "R3", "R3p"]),
+       st.integers(-6, 6))
+def test_main_exits_0_or_2_on_mutated_state_files(tmp_path_factory, text, ops,
+                                                  rule, steps):
+    path = tmp_path_factory.getbasetemp() / "mutated_state.txt"
+    path.write_text(mutate(text, ops))
+    assert_exit_0_or_2(["simulate", "--rule", rule, "--steps", str(steps),
+                        "--load", str(path)])

@@ -1,4 +1,9 @@
+import tracemalloc
+
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from revca.grid import BinaryGrid, SecondOrderState, count_values, single_seed
 from revca.render import (PALETTE, TXT_CHARS, render, render_pbm, render_ppm,
@@ -32,6 +37,7 @@ def test_render_matches_pixel_loop(fmt):
              (MIXED, 0), (MIXED, 1), (MIXED, 3)]
     cases += [(evolve(rule, single_seed(), n), r) for rule in Rule
               for n, r in ((1, 1), (9, 9), (9, 4), (40, 41))]
+    cases += [(evolve(Rule.C1, single_seed(), n), n) for n in (64, 257)]
     for s, n in cases:
         assert render(s, n, fmt) == pixel_loop_render(s, n, fmt)
 
@@ -82,3 +88,51 @@ def test_rows_run_top_down():
     from revca.grid import BinaryGrid, SecondOrderState
     s = SecondOrderState(BinaryGrid([(1, -1)]), BinaryGrid([(0, 1)]))
     assert render_txt(s, 1) == ".2.\n...\n..1\n"
+
+
+def cell_loop_window(s, n):
+    """value_window's oracle: one cell at a time from cells()."""
+    v = np.zeros((2 * n + 1, 2 * n + 1), dtype=np.uint8)
+    for weight, g in ((1, s.current), (2, s.previous)):
+        for i, j in g.cells():
+            if abs(i) <= n and abs(j) <= n:
+                v[n - j, i + n] += weight
+    return v
+
+
+# a cluster up to 150 columns wide, crossing word boundaries, placed so that
+# it can lie inside the window, across its edge or wholly outside it
+clusters = st.builds(
+    lambda cells, di, dj: BinaryGrid((i + di, j + dj) for i, j in cells),
+    st.frozensets(st.tuples(st.integers(-6, 6), st.integers(-75, 75)),
+                  max_size=30),
+    st.integers(-90, 90), st.integers(-90, 90))
+components = st.one_of(st.just(BinaryGrid()), clusters)
+
+
+@given(components, components, st.integers(0, 70))
+@example(BinaryGrid(), BinaryGrid(), 0)
+@example(BinaryGrid([(40, 40), (41, 43)]), BinaryGrid([(0, -9)]), 3)
+@example(BinaryGrid([(-5, 0), (5, 3)]), BinaryGrid([(-5, -5), (5, 5)]), 2)
+@example(BinaryGrid([(10, 0), (11, -1)]), BinaryGrid([(0, 10), (-1, 70)]), 3)
+def test_value_window_matches_cell_loop(cur, prev, n):
+    s = SecondOrderState(cur, prev)
+    assert np.array_equal(value_window(s, n), cell_loop_window(s, n))
+
+
+@pytest.fixture(scope="module")
+def r1_512():
+    return evolve(Rule.C1, single_seed(), 512)
+
+
+@pytest.mark.parametrize("fmt", ["txt", "pbm", "ppm"])
+def test_render_peak_memory(r1_512, fmt):
+    # the output string and its parts, the value window and a few MiB of
+    # row blocks; no per-pixel Python objects
+    tracemalloc.start()
+    try:
+        out = render(r1_512, 512, fmt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * len(out) + 1025 ** 2 + (4 << 20)
