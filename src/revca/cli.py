@@ -76,9 +76,9 @@ def _sequence_columns(method: str, n_max: int) -> dict[str, list[int]]:
     if method == "recursive":  # one ladder walk per row: R1(n) = R2(n + 1)
         r2 = [seq.seq_value(SeqId.R2, n) for n in range(n_max + 2)]
         r1 = r2[1:]
-    elif method == "alt":
-        r1 = [seq.seq_value_alt(SeqId.R1, n) for n in range(n_max + 1)]
-        r2 = [seq.seq_value_alt(SeqId.R2, n) for n in range(n_max + 2)]
+    elif method == "alt":  # one memo per column, shared by all of its rows
+        r1 = list(map(seq._alt_terms(SeqId.R1), range(n_max + 1)))
+        r2 = list(map(seq._alt_terms(SeqId.R2), range(n_max + 2)))
     elif method == "sim":
         counts = trajectory_counts(Rule.C2, n_max)
         return {"R": [c.total for c in counts],

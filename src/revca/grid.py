@@ -5,8 +5,8 @@ signed coordinates.  A :class:`BinaryGrid` keeps its tight bounding box as
 bit-packed rows, one row of little-endian uint64 words per i: column jmin
 is bit 0 of word 0 and every bit past the last column is 0.  The layout is
 canonical, so equality and hashing compare words, and xor, products and
-steps run on words.  The ``window`` property is the one place that unpacks
-them into a dense 0/1 array, for the writer, the renderer and the tests.
+steps run on words; cells are read off the nonzero words.  ``window``
+unpacks a dense 0/1 array, for the renderer, the diamond check and tests.
 
 The same set is a GF(2) Laurent polynomial in x, y: cell (i, j) is the
 monomial x^i y^j.  ``+`` is xor, ``*`` is the mod-2 product and
@@ -117,8 +117,8 @@ class BinaryGrid:
         order; raises ValueError when a coordinate leaves int64."""
         if self:
             _int64_bounds(self)
-        ri, rj = np.nonzero(self.window)
-        return ri.astype(np.int64) + self._imin, rj.astype(np.int64) + self._jmin
+        ri, rj = _set_bits(self._w)
+        return ri + self._imin, rj + self._jmin
 
     def cells(self) -> frozenset[Cell]:
         return frozenset(self)
@@ -209,6 +209,17 @@ class BinaryGrid:
 
 
 EMPTY = BinaryGrid()
+
+
+def _set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, bit columns) of the set bits of a C-contiguous word array, as
+    int64 arrays in row-major order; only the nonzero words are unpacked."""
+    at = np.flatnonzero(words)
+    bit = np.flatnonzero(np.unpackbits(words.ravel()[at].view(np.uint8),
+                                       bitorder="little"))
+    row, word = np.divmod(at, words.shape[1])
+    k = bit >> 6  # the nonzero word that holds each bit
+    return row[k], 64 * word[k] + (bit & 63)
 
 
 def _int64_bounds(g: BinaryGrid) -> tuple[int, int, int, int]:
@@ -376,22 +387,21 @@ def count_values(s: SecondOrderState, n: int = 0) -> CountRecord:
 # then one 'i j' line per cell in sorted order.  The writer formats one
 # ' j\n' label per occupied column and one str(i) per occupied row, and
 # writes a row as str(i).join over its cells' labels.  Coordinates are the
-# Python-int origin plus an offset, so they stay exact past int64.  The
-# occupied columns are the or of all rows, read before the window exists.
+# Python-int origin plus an offset, so they stay exact past int64.  Cells
+# are decoded in blocks of ~4096 words: a dense grid's cell arrays stay small.
 
 def _to_text(g: BinaryGrid, tag: str, key: str) -> str:
-    rows_or = np.bitwise_or.reduce(g._w, axis=0, keepdims=True)
-    cols = np.flatnonzero(BinaryGrid._tight(rows_or, 0, 0, g._ncols).window)
-    sub = g.window[:, cols]
-    per_row = np.count_nonzero(sub, axis=1)
-    rows = np.flatnonzero(per_row)
-    labels = np.array([f" {g._jmin + c}\n" for c in cols.tolist()],
-                      dtype=object)[np.nonzero(sub)[1]].tolist()
-    out, s = [f"{tag} v1 {key}={len(labels)}\n"], 0
-    for r, e in zip(rows.tolist(), np.cumsum(per_row[rows]).tolist()):
-        i = str(g._imin + r)
-        out += (i, i.join(labels[s:e]))
-        s = e
+    cols = _set_bits(np.bitwise_or.reduce(g._w, axis=0, keepdims=True))[1]
+    labels = np.array([f" {g._jmin + c}\n" for c in cols.tolist()], object)
+    out = [f"{tag} v1 {key}={len(g)}\n"]
+    step = max(1, 4096 // max(g._w.shape[1], 1))
+    for r0 in range(0, len(g._w), step):
+        rr, cc = _set_bits(g._w[r0:r0 + step])
+        block = labels[np.searchsorted(cols, cc)].tolist()
+        starts = np.flatnonzero(np.diff(rr, prepend=-1)).tolist()
+        for r, s, e in zip(rr[starts].tolist(), starts, starts[1:] + [len(rr)]):
+            i = str(g._imin + r0 + r)
+            out += (i, i.join(block[s:e]))
     return "".join(out)
 
 

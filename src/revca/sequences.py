@@ -22,7 +22,7 @@ overflow.
 from __future__ import annotations
 
 import enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 
 class SeqId(enum.Enum):
@@ -88,15 +88,12 @@ def seq_value(which: SeqId, n: int) -> int:
     return r2 + r1 if which is SeqId.R else r2
 
 
-def seq_value_alt(which: SeqId, n: int) -> int:
-    """R1 or R2 by the power-of-two splitting recursion; agrees with seq_value.
+def _alt_terms(which: SeqId) -> Callable[[int], int]:
+    """n -> R1(n) or R2(n), n >= 0, by the power-of-two splitting recursion:
 
     R1(2^k + j) = 4 R1(j) + R1(2^k - j - 2) for 0 <= j < 2^k, and
-    R2(2^k + j) = 4 R2(j) + R2(2^k - j) for 0 < j <= 2^k.  Each call
-    evaluates O(log n) distinct terms and memoizes them for itself only.
-    """
-    if n < 0:
-        raise IndexOutOfRangeError(f"alt recursion needs n >= 0, got {n}")
+    R2(2^k + j) = 4 R2(j) + R2(2^k - j) for 0 < j <= 2^k.  The memo lives as
+    long as the returned function, and a new term adds O(log n) entries."""
     if which is SeqId.R1:
         memo, back = {-1: 0, 0: 1}, 2
     elif which is SeqId.R2:
@@ -114,7 +111,15 @@ def seq_value_alt(which: SeqId, n: int) -> int:
             v = memo[m] = 4 * term(j) + term((1 << k) - j - back)
         return v
 
-    return term(n)
+    return term
+
+
+def seq_value_alt(which: SeqId, n: int) -> int:
+    """R1 or R2 by the power-of-two splitting recursion, with a memo for this
+    call only; agrees with seq_value."""
+    if n < 0:
+        raise IndexOutOfRangeError(f"alt recursion needs n >= 0, got {n}")
+    return _alt_terms(which)(n)
 
 
 class SequenceTable:

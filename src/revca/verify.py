@@ -340,7 +340,7 @@ _LEAST_RANGE = {"backward_growth": 1}
 #: so time sets each one (a walk to n takes time as n^3), except diamond's,
 #: which is the walk's own bound: the last 2^k - 1 <= MAX_SEED_STEPS
 _GREATEST_RANGE = {"counts": 2600, "equivalence": 2500, "replication": 10,
-                   "reversibility": 2200, "polynomial": 2048,
+                   "reversibility": 2150, "polynomial": 2048,
                    "coloring": 3100, "sublattice": 1500,
                    "diamond": (MAX_SEED_STEPS + 1).bit_length() - 1,
                    "backward_growth": 10}

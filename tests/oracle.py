@@ -2,9 +2,9 @@
 
 ``revca.rules`` runs every rule on bit-packed words; :func:`dense_step`
 counts neighbors on a uint8 window instead.  ``revca.grid`` writes text
-row by row; :func:`cell_text` formats one line per cell.  ``revca.verify``
-reads the growth decomposition off walks; :func:`pair_composition` builds
-it from three doubling ladders.
+row by row off the nonzero words; :func:`cell_text` formats one line per
+cell of the dense window.  ``revca.verify`` reads the growth decomposition
+off walks; :func:`pair_composition` builds it from three doubling ladders.
 """
 
 import numpy as np
@@ -42,10 +42,13 @@ def dense_step(rule: Rule, g: BinaryGrid) -> BinaryGrid:
 
 
 def cell_text(g: BinaryGrid, tag: str, key: str) -> str:
-    """The '#bgrid'/'#lpoly' block of ``g``, one f-string per cell."""
-    ii, jj = g.index_arrays()  # row-major, i.e. sorted (i, j) order
-    lines = [f"{tag} v1 {key}={len(ii)}"]
-    lines.extend(f"{i} {j}" for i, j in zip(ii.tolist(), jj.tolist()))
+    """The '#bgrid'/'#lpoly' block of ``g``, one f-string per cell, read off
+    the dense window rather than the writer's word decoder."""
+    ri, rj = np.nonzero(g.window)  # row-major, i.e. sorted (i, j) order
+    i0, j0 = g.origin
+    lines = [f"{tag} v1 {key}={len(ri)}"]
+    lines.extend(f"{i0 + i} {j0 + j}"
+                 for i, j in zip(ri.tolist(), rj.tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -111,13 +111,14 @@ def test_sequence_check_and_methods_agree(capsys):
 
 
 def test_sequence_check_mismatch_exit_3(capsys, monkeypatch):
-    good = sequences.seq_value_alt
+    # the alt column reads each sequence through one _alt_terms function
+    good = sequences._alt_terms
 
-    def off_by_one(which, n):
-        wrong = which is sequences.SeqId.R1 and n == 17
-        return good(which, n) + (1 if wrong else 0)
+    def off_by_one(which):
+        term, wrong = good(which), which is sequences.SeqId.R1
+        return lambda n: term(n) + (1 if wrong and n == 17 else 0)
 
-    monkeypatch.setattr(sequences, "seq_value_alt", off_by_one)
+    monkeypatch.setattr(sequences, "_alt_terms", off_by_one)
     code, out, err = run(capsys, "sequence", "--max", "40", "--check")
     assert code == 3
     assert out == ""

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import cell_text, dense_step
-from revca.gf2poly import poly_from_text, poly_to_text
+from revca.gf2poly import poly_from_text, poly_to_text, state_poly_at
 from revca.grid import (EMPTY, BinaryGrid, MixedParityError,
                         SecondOrderState, count_values, diagonal_embed,
                         diagonal_extract, grid_from_text, grid_to_text, shift,
@@ -293,6 +293,18 @@ def test_writer_matches_cell_oracle(g, di, dj, fmt):
         assert from_text(text) == h
 
 
+@given(any_grids)
+@example(EMPTY)
+def test_index_arrays_match_the_window(g):
+    # the word decoder finds the dense window's cells, in the same order
+    ii, jj = g.index_arrays()
+    ri, rj = np.nonzero(g.window)
+    i0, j0 = g.origin
+    assert ii.dtype == jj.dtype == np.int64
+    assert ii.tolist() == (ri + i0).tolist()
+    assert jj.tolist() == (rj + j0).tolist()
+
+
 def test_writer_memory_is_bounded_by_the_window():
     # two cells 2^22 columns apart: a Python object per window column
     # would take tens of MiB; the writer stays below twice the window
@@ -305,3 +317,17 @@ def test_writer_memory_is_bounded_by_the_window():
         tracemalloc.stop()
     assert text == f"#bgrid v1 count=2\n0 0\n0 {2**22 - 1}\n"
     assert peak < 2 * g.window.nbytes
+
+
+def test_dense_writer_memory_is_bounded_by_its_text():
+    # a dense state: the writer decodes it in row blocks, so its per-cell
+    # arrays stay small beside the text it returns
+    p = state_poly_at(Rule.C1, 511).first
+    tracemalloc.start()
+    try:
+        text = poly_to_text(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.startswith(f"#lpoly v1 terms={len(p)}\n")
+    assert peak < 4 * len(text)
