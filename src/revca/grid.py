@@ -253,14 +253,14 @@ def _tight_box(p: np.ndarray, r0: int, r1: int, c0: int,
     """Tight half-open box (r0, r1, c0, c1) of the set bits of the word
     array p, all of which lie in rows r0..r1 and bit columns c0..c1, or
     None when there are none: each edge moves inward while its row or
-    word is empty."""
+    word is empty; rows, all at once when an edge row is empty."""
     wa, wb = c0 >> 6, (c1 - 1) >> 6  # inclusive
-    while r0 < r1 and not np.count_nonzero(p[r0, wa:wb + 1]):
-        r0 += 1
-    if r0 == r1:
-        return None
-    while not np.count_nonzero(p[r1 - 1, wa:wb + 1]):
-        r1 -= 1
+    rows = p[r0:r1, wa:wb + 1]
+    if not (np.count_nonzero(rows[:1]) and np.count_nonzero(rows[-1:])):
+        live = np.flatnonzero(rows.any(axis=1))
+        if not len(live):
+            return None
+        r0, r1 = r0 + int(live[0]), r0 + int(live[-1]) + 1
     while not (lo := int(np.bitwise_or.reduce(p[r0:r1, wa]))):
         wa += 1
     while not (hi := int(np.bitwise_or.reduce(p[r0:r1, wb]))):

@@ -13,8 +13,10 @@ walk of the swapped state, and yields every state on the way.
 
 Each rule has one kernel, ``_rule_words``, on the bit-packed rows that a
 :class:`~revca.grid.BinaryGrid` keeps.  ``first_order_step`` runs it on
-one grid, a walk in place on two planes whose words the tallies and the
-coloring checks read.  The tests check the kernel against a dense
+one grid.  A walk runs it flat over whole rows of two compact planes,
+with temporaries in scratch that the walk keeps, and xors each result
+into the older plane in place; the tallies and the coloring checks read
+the plane words.  The tests check the kernel against a dense
 neighbor-count stencil, kept there as the independent oracle.
 """
 
@@ -52,37 +54,50 @@ def parse_rule(name: str) -> Rule:
         raise ValueError(f"unknown rule {name!r}") from None
 
 
-_1, _63 = np.uint64(1), np.uint64(63)
+#: the shift of a word and that of its carry into the next word
+_SHIFTS = np.array([[1], [63]], dtype=np.uint64)
 #: a plane word with a bit at every even column; ~ marks the odd ones
 _EVEN_BITS = np.uint64(0x5555555555555555)
 
 
-def _rule_words(rule: Rule, x: np.ndarray, nw: int) -> np.ndarray:
-    """f on the packed rows of x but the first and the last, each reading
-    the rows above and below; x is row-major with nw words per row.
+def _rule_words(rule: Rule, x: np.ndarray, nw: int, acc: np.ndarray,
+                tmp: np.ndarray) -> None:
+    """acc ^= f on the packed rows of x but the first and the last, each
+    reading the rows above and below; x is flat and row-major with nw words
+    per row, acc holds the len(x) - 2 nw words of the rows computed and tmp
+    is scratch of at least 4 len(x) words.
 
-    Shifting the flat array carries bits between the words of a row; no
-    bit crosses between rows because the first bit and the last bit of
-    every row of x are 0 (x spans the box grown by one on each side).
+    One shift each way by (1, 63) gives each word shifted by one and the
+    bit it carries into its neighbor, so bits move between the words of a
+    row; none crosses between rows because the first bit and the last bit
+    of every row of x are 0.
     """
-    west = x << _1  # bit j holds the cell at j - 1
-    west[1:] |= x[:-1] >> _63
-    east = x >> _1  # bit j holds the cell at j + 1
-    east[:-1] |= x[1:] << _63
-    r = 2 * nw
+    m, r = len(x), 2 * nw
+    t = tmp[:4 * m].reshape(4, m)
+    np.left_shift(x, _SHIFTS, out=t[:2])
+    np.right_shift(x, _SHIFTS, out=t[2:])
+    west, east = t[0], t[2]  # bit j holds the cell at j - 1, at j + 1
+    west[1:] |= t[3, :-1]
+    east[:-1] |= t[1, 1:]
     if rule is Rule.C1:
-        h = west ^ east
-        return h[:-r] ^ h[r:]
+        west ^= east
+        acc ^= west[:-r]
+        acc ^= west[r:]
+        return
     n, s, w, e = x[:-r], x[r:], west[nw:-nw], east[nw:-nw]
-    odd = n ^ s ^ w ^ e
-    if rule is Rule.C2:
-        return odd
-    # odd parity is one or three neighbors, and any three hold N,S or W,E
-    out = odd & ~((n & s) | (w & e))  # exactly one
-    if rule is Rule.C3p:
-        h = west | east
-        out &= ~(h[:-r] | h[r:])
-    return out
+    odd, pair = t[1, :m - r], t[3, :m - r]
+    np.bitwise_xor(n, s, out=odd)
+    odd ^= w
+    odd ^= e
+    if rule is not Rule.C2:
+        # odd parity is one or three neighbors, and any three hold N,S or W,E
+        odd &= np.invert(np.bitwise_and(n, s, out=pair), out=pair)
+        odd &= np.invert(np.bitwise_and(w, e, out=pair), out=pair)
+        if rule is Rule.C3p:  # and no diagonal neighbor
+            west |= east
+            odd &= np.invert(np.bitwise_or(west[:-r], west[r:], out=pair),
+                             out=pair)
+    acc ^= odd
 
 
 def first_order_step(rule: Rule, g: BinaryGrid) -> BinaryGrid:
@@ -92,7 +107,8 @@ def first_order_step(rule: Rule, g: BinaryGrid) -> BinaryGrid:
     nw = -(-(w + 2) // 64)  # the last bit of each row stays empty
     x = np.zeros((len(g._w) + 4, nw), _WORD)
     _xor_at(x, g._w, 2, 1)
-    new = _rule_words(rule, x.ravel(), nw).reshape(-1, nw)
+    new = np.zeros((len(g._w) + 2, nw), _WORD)
+    _rule_words(rule, x.ravel(), nw, new.ravel(), np.empty(4 * x.size, _WORD))
     return _wrap_tight(new, i0 - 1, j0 - 1, w + 2)
 
 
@@ -114,19 +130,35 @@ def second_order_inverse(rule: Rule, s: SecondOrderState,
                             xor(step_fn(rule, s.previous), s.current))
 
 
-#: most steps a walk from the seed takes: its planes span (2|n| + 3)^2 cells
+#: most steps a walk from the seed takes: the walk is refused when the
+#: seed's box grown by |n| + 1, (2|n| + 3)^2 cells, spans more than
+#: MAX_PARSED_WINDOW
 MAX_SEED_STEPS = (math.isqrt(MAX_PARSED_WINDOW) - 3) // 2
+#: steps a walk takes at the least between two layouts of its planes
+_ROOM = 16
 
 
 class _Planes:
     """The two newest states X_{k+1}, X_k of a walk X_{k+1} = f(X_k) + X_{k-1}
-    on two preallocated bit-packed planes (rows along i, bits along j).
+    on two compact bit-packed planes (rows along i, bits along j).
 
     Index 0 is the newest plane, the current component.  Each plane keeps
-    its tight box in plane coordinates (r0, r1, c0, c1), half-open, or None
-    when empty, and the BinaryGrid it holds once one has been handed out.
-    f grows a box by one per step, so planes over both boxes grown by
-    n+1 hold a walk of n steps.
+    a box in plane coordinates (r0, r1, c0, c1), half-open, that holds all
+    its cells, or None when it is empty, and the BinaryGrid it holds once
+    one has been handed out.  A step bounds its result by the two boxes
+    without reading a word, so boxes are loose: ``grid`` tightens one at
+    hand-out, and ``tally`` and ``off_lattice`` read them as they are.
+
+    The planes span both boxes grown by ``pad = min(margin, _ROOM + 1)``
+    cells, and by up to 63 more columns so that words move whole.  f
+    reads two rows and one bit beyond the current box, so a step that
+    would read past the planes first tightens both boxes and lays the
+    planes out anew around them: at most once in pad - 1 steps, and never
+    in a walk of n <= _ROOM steps with ``margin = n + 1``.  The kernel's
+    temporaries live in one scratch buffer sized to the planes, which the
+    steps reuse until the next layout.  A walk whose start state grown by
+    ``margin`` spans more than ``MAX_PARSED_WINDOW`` cells is refused
+    before any plane is made.
     """
 
     def __init__(self, s: SecondOrderState, margin: int):
@@ -138,33 +170,68 @@ class _Planes:
         if rows * cols > MAX_PARSED_WINDOW:
             raise ValueError(f"a walk plane of {rows} x {cols} cells spans "
                              f"more than {MAX_PARSED_WINDOW} cells")
-        self.origin = (i0, j0)
-        self.planes = [np.zeros((rows, -(-cols // 64)), dtype=_WORD)
-                       for _ in range(2)]
-        self.boxes: list[tuple[int, int, int, int] | None] = [None, None]
-        for k, g in enumerate(self.grids):
-            if g:
-                gi0, gi1, gj0, gj1 = g.bounds()
-                _xor_at(self.planes[k], g._w, gi0 - i0, gj0 - j0)
-                self.boxes[k] = (gi0 - i0, gi1 + 1 - i0, gj0 - j0, gj1 + 1 - j0)
+        self.pad = min(margin, _ROOM + 1)
+        self._lay_out([(g._w, *g.origin, (0, len(g._w), 0, g._ncols))
+                       if g else None for g in self.grids])
+
+    def _lay_out(self, parts: list) -> None:
+        """Both planes anew over the union of the parts' boxes grown by pad.
+        Part k is None or (words, i, j, box): plane k's cells are the set
+        bits of words in box, and bit 0 of words' row 0 is the cell (i, j).
+        Column j0 lies whole words from the first part's j, up to 63
+        columns further out than pad asks, so that part's words move
+        without a bit shift: on a new layout, both parts' words."""
+        self._tmp: np.ndarray | None = None  # dropped before the new planes
+        parts_in = list(filter(None, parts))
+        spans = [(i + r0, i + r1, j + c0, j + c1)
+                 for _, i, j, (r0, r1, c0, c1) in parts_in]
+        lo_i, hi_i, lo_j, hi_j = zip(*spans or [(0, 1, 0, 1)])
+        i0, j0 = min(lo_i) - self.pad, min(lo_j) - self.pad
+        j0 -= (j0 - (parts_in[0][2] if parts_in else j0)) % 64
+        shape = (max(hi_i) + self.pad - i0,
+                 -(-(max(hi_j) + self.pad - j0) // 64))
+        self.origin, self.planes, self.boxes = (i0, j0), [], []
+        for part in parts:
+            self.planes.append(np.zeros(shape, _WORD))
+            self.boxes.append(None)
+            if part:
+                w, i, j, (r0, r1, c0, c1) = part
+                wa = c0 >> 6
+                _xor_at(self.planes[-1], w[r0:r1, wa:((c1 - 1) >> 6) + 1],
+                        i + r0 - i0, j + 64 * wa - j0)
+                self.boxes[-1] = (i + r0 - i0, i + r1 - i0,
+                                  j + c0 - j0, j + c1 - j0)
 
     def step(self, rule: Rule) -> None:
         """X_{k+2} = f(X_{k+1}) + X_k, written over X_k; then swap roles."""
-        if self.boxes[0] is not None:
+        # f reads two rows and one bit beyond the current box.  Boxes grow
+        # alike in rows and columns, and a layout leaves the columns at least
+        # the rows' room, so the rows run out first
+        box, rows = self.boxes[0], len(self.planes[0])
+        if box is not None and (box[0] < 2 or box[1] + 2 > rows):
+            self._lay_out([(p, *self.origin, b) if b else None for p, b
+                           in zip(self.planes, map(self._tight, (0, 1)))])
+        if self.boxes[0] is not None:  # it may have emptied on tightening
             new, old = self.planes
+            if self._tmp is None:
+                self._tmp = np.empty(4 * new.size, _WORD)
+            # whole rows r0-2..r1+1 of X_{k+1} give rows r0-1..r1 of f
             r0, r1, c0, c1 = self.boxes[0]
-            # rows r0-2..r1+1 and words wa..wb-1 lie inside the planes
-            wa, wb = (c0 - 1) >> 6, (c1 >> 6) + 1
-            x = np.ascontiguousarray(new[r0 - 2:r1 + 2, wa:wb]).ravel()
-            old[r0 - 1:r1 + 1, wa:wb] ^= _rule_words(
-                rule, x, wb - wa).reshape(-1, wb - wa)
+            _rule_words(rule, new[r0 - 2:r1 + 2].ravel(), new.shape[1],
+                        old[r0 - 1:r1 + 1].ravel(), self._tmp)
             # X_{k+2} lies in the box of X_k or that of X_{k+1} grown by one
             b0, b1, d0, d1 = self.boxes[1] or (r0, r1, c0, c1)
-            self.boxes[1] = _tight_box(old, min(r0 - 1, b0), max(r1 + 1, b1),
-                                       min(c0 - 1, d0), max(c1 + 1, d1))
+            self.boxes[1] = (min(r0 - 1, b0), max(r1 + 1, b1),
+                             min(c0 - 1, d0), max(c1 + 1, d1))
         self.planes.reverse()
         self.boxes.reverse()
         self.grids = [None, self.grids[0]]
+
+    def _tight(self, k: int) -> tuple[int, int, int, int] | None:
+        """Plane k's box, tightened in place."""
+        if self.boxes[k] is not None:
+            self.boxes[k] = _tight_box(self.planes[k], *self.boxes[k])
+        return self.boxes[k]
 
     def off_lattice(self, k: int, par: int, coset: bool) -> bool:
         """Whether plane k holds a cell off the checkerboard i + j = par
@@ -181,9 +248,10 @@ class _Planes:
         return bool(bad.any() or coset and words[(i + par) & 1 == 1].any())
 
     def grid(self, k: int) -> BinaryGrid:
-        """Plane k as a BinaryGrid: a shifted copy of its words, made once."""
+        """Plane k as a BinaryGrid: a shifted copy of the words in its
+        tightened box, made once."""
         if self.grids[k] is None:
-            self.grids[k] = _crop(self.planes[k], *self.origin, self.boxes[k])
+            self.grids[k] = _crop(self.planes[k], *self.origin, self._tight(k))
         return self.grids[k]
 
     def state(self) -> SecondOrderState:

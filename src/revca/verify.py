@@ -280,15 +280,15 @@ def suite_diamond(k_max: int = 5,
     for target, planes in enumerate(walk):
         if target & (target + 1):  # not of the form 2^k - 1
             continue
-        k, ones = target.bit_length(), planes.state().current
+        k, ones = target.bit_length(), planes.grid(0)
         if len(ones) != 4 ** k:
             return _fail(name, rng, f"k={k}: |value-1| = {len(ones)} != 4^{k}")
         if seq.seq_value(SeqId.R1, target) != 4 ** k:
             return _fail(name, rng, f"k={k}: R1(2^{k}-1) != 4^{k}")
-        # 4^k cells filling the checkerboard window of diamond_cells(target)
-        w, side = ones.window, 2 * target + 1
-        if (ones.origin != (-target, -target) or w.shape != (side, side)
-                or not w[::2, ::2].all()):
+        # 4^k cells in [-target, target]^2, all on the coset i = j = target
+        # mod 2, which has 4^k cells there: the checkerboard diamond
+        if (ones.bounds() != (-target, target, -target, target)
+                or planes.off_lattice(0, target & 1, True)):
             return _fail(name, rng, f"k={k}: value-1 set is not the "
                                     f"predicted checkerboard diamond")
     for k in range(9):

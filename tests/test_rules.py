@@ -136,6 +136,41 @@ def test_walk_from_seed_matches_lift_steps(rule):
                                                                want[-1])
 
 
+# a state whose cells straddle the 64-bit word edges of the planes
+WIDE = SecondOrderState(
+    BinaryGrid([(-3, -129), (-2, -64), (0, -1), (1, 63), (2, 64), (4, 128)]),
+    BinaryGrid([(-1, -65), (0, 0), (3, 127)]))
+
+
+@pytest.mark.parametrize("rule", list(Rule))
+def test_walks_across_layouts_match_lift_steps(rule, monkeypatch):
+    # walks of n around the planes' room end just before, at and just after
+    # their first new layout, and one crosses three.  The starts: the seed;
+    # (g, f(g)), whose current component empties at step 1; one whose
+    # current component is empty at step _ROOM, when the planes are laid
+    # out anew; and a state across word edges
+    layouts, lay_out = [], rules._Planes._lay_out
+
+    def counted(planes, parts):
+        layouts.append(parts)
+        lay_out(planes, parts)
+
+    monkeypatch.setattr(rules._Planes, "_lay_out", counted)
+    room = rules._ROOM
+    g = evolve(rule, single_seed(), 3).current
+    starts = [single_seed(), SecondOrderState(g, first_order_step(rule, g)),
+              evolve(rule, SecondOrderState(EMPTY, g), -room), WIDE]
+    for n in (room - 1, room, room + 1, 3 * room + 1):
+        for s in starts:
+            for m in (n, -n):
+                want = lift_steps(rule, m, s)
+                assert evolve(rule, s, m) == want[-1]
+                layouts.clear()
+                assert list(trajectory(rule, m, s)) == want
+                if s is starts[0] and m > 0:  # the seed grows every step
+                    assert (len(layouts) > 1) == (n > room)
+
+
 @pytest.mark.parametrize("n", [-37, 0, 1, 45])
 def test_walk_calls_step_fn_once_per_step(n):
     calls = []

@@ -238,9 +238,10 @@ def test_polynomial_negative_control():
     (corrupt_c1_displaced, "R1 n=1: component off its sublattice coset"),
     # one bit column over: caught by the R1 column masks, not its rows
     (displaced(Rule.C1, 0, 1), "R1 n=1: component off its sublattice coset"),
-    # the planes of a substitute rule start at the union box, here (-1, 0),
-    # so the R2 mask phase has an odd origin term; one column over puts a
-    # cell of the cross on the seed, three columns over miss it
+    # the planes of a substitute rule start at the union box's first row and
+    # whole words left of the current grid's first column, here (-1, 0) and
+    # (-1, -62), so the R2 mask phase has an odd origin term; one column
+    # over puts a cell of the cross on the seed, three columns over miss it
     (displaced(Rule.C2, 0, 1), "R2 n=1: value-3 cell present"),
     (displaced(Rule.C2, 0, 3), "R2 n=1: component off its checkerboard parity"),
 ])
@@ -293,6 +294,29 @@ def test_diamond_negative_control():
     report = verify.suite_diamond(3, step_fn=corrupt_c1_with_center)
     assert not report.passed
     assert report.witness == "k=1: |value-1| = 5 != 4^1"
+
+
+def c1_moving(cell, to):
+    """C1 whose result, when it holds ``cell``, has it at ``to`` instead."""
+    def step(rule, g):
+        out = first_order_step(rule, g)
+        if rule is Rule.C1 and cell in out and to not in out:
+            return xor(out, BinaryGrid([cell, to]))
+        return out
+    return step
+
+
+@pytest.mark.parametrize("to", [
+    (1, 0),  # inside [-1, 1]^2, off the coset i = j = 1 mod 2
+    (3, 1),  # on the coset, outside [-1, 1]^2
+])
+def test_diamond_checkerboard_negative_control(to):
+    # 4 = 4^1 cells at n = 1, one of them moved: only the checkerboard
+    # check (bounds and coset, read off the planes) catches it
+    report = verify.suite_diamond(3, step_fn=c1_moving((1, 1), to))
+    assert not report.passed
+    assert report.witness == ("k=1: value-1 set is not the predicted "
+                              "checkerboard diamond")
 
 
 def test_backward_growth_negative_control():
