@@ -26,6 +26,12 @@ from .rules import MAX_SEED_STEPS, Rule, evolve, parse_rule, trajectory_counts
 from .sequences import SeqId
 
 
+# the largest round --max whose recursive and alt tables, csv or json, a
+# cold run writes within 60 s and 1 GiB: 600000 rows of json peak at
+# ~880 MiB in ~6 s on a 2-core machine, and 700000 at ~1020 MiB
+_GREATEST_TABLE_MAX = 600_000
+
+
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -73,26 +79,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _sequence_columns(method: str, n_max: int) -> dict[str, list[int]]:
     """All three sequences on 0..n_max by the requested method."""
-    if method == "recursive":  # one ladder walk per row: R1(n) = R2(n + 1)
-        r2 = [seq.seq_value(SeqId.R2, n) for n in range(n_max + 2)]
-        r1 = r2[1:]
-    elif method == "alt":  # one memo per column, shared by all of its rows
+    if method == "recursive":  # build_table's checked rows, as columns
+        _, *cols = zip(*seq.build_table(n_max).rows)
+        return dict(zip(seq.SequenceTable.COLUMNS, map(list, cols)))
+    if method == "alt":  # one memo per column, shared by all of its rows
         r1 = list(map(seq._alt_terms(SeqId.R1), range(n_max + 1)))
         r2 = list(map(seq._alt_terms(SeqId.R2), range(n_max + 2)))
-    elif method == "sim":
+        return {"R": [r2[n] + r2[n + 1] for n in range(n_max + 1)],
+                "R1": r1, "R2": r2[:n_max + 1]}
+    if method == "sim":
         counts = trajectory_counts(Rule.C2, n_max)
         return {"R": [c.total for c in counts],
                 "R1": [c.r1 for c in counts],
                 "R2": [c.r2 for c in counts]}
-    elif method == "poly":  # one pair alive at a time: sizes only
+    if method == "poly":  # one pair alive at a time: sizes only
         sizes = [tuple(map(len, state_poly_at(Rule.C2, n)))
                  for n in range(n_max + 1)]
         return {"R": [a + b for a, b in sizes],
                 "R1": [a for a, _ in sizes], "R2": [b for _, b in sizes]}
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return {"R": [r2[n] + r2[n + 1] for n in range(n_max + 1)],
-            "R1": r1, "R2": r2[:n_max + 1]}
+    raise ValueError(f"unknown method {method!r}")
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
@@ -102,6 +107,9 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     if (args.check or args.method in ("sim", "poly")) and n_max > MAX_SEED_STEPS:
         raise ValueError(f"--max {n_max} is above {MAX_SEED_STEPS}, the last "
                          f"step of the sim and poly columns")
+    if n_max > _GREATEST_TABLE_MAX:
+        raise ValueError(f"--max {n_max} is above {_GREATEST_TABLE_MAX}, the "
+                         f"ceiling of the recursive and alt tables")
     if args.check:
         ref = _sequence_columns("recursive", n_max)
         for method in ("alt", "sim", "poly"):

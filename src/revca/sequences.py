@@ -12,6 +12,8 @@ pair (R2(n), R2(n+1)) follows from the bits of n, most significant first
 (Dijkstra's *fusc*, EWD570/EWD578), and the other two sequences follow
 from the cross-relations.  A term costs one step per bit, so indices
 around 2^200 stay cheap, and the module keeps no state between calls.
+``build_table`` walks it once per row, checks each row against two other
+walks, and is what the CLI's recursive table and ``counts`` suite read.
 
 The paper's power-of-two splitting recursion, with a memo that lives for
 one call, is kept as ``seq_value_alt``: an independent cross-check of the
@@ -144,23 +146,20 @@ class SequenceTable:
 
 
 def build_table(n_max: int) -> SequenceTable:
-    """Tabulate the three sequences, asserting every cross-relation.
+    """Tabulate the three sequences off one ladder walk per row.
 
-    Raises :class:`RelationViolationError` on any internal inconsistency;
-    that never happens for a correct implementation.
+    Walk n gives R2(n) and R1(n) = R2(n+1), and R(n) is their sum.  Walk n+1
+    must start at R2(n+1) and walk 2n+1 at R(n) = R1(2n) = R2(2n+1), or
+    :class:`RelationViolationError` is raised; a correct build never is.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    rows = []
+    rows, pair = [], _r2_pair(0)
     for n in range(n_max + 1):
-        r, r1, r2 = (seq_value(w, n) for w in SeqId)
-        r2_next = seq_value(SeqId.R2, n + 1)
-        if r2_next != r1:
+        (r2, r1), pair = pair, _r2_pair(n + 1)
+        if pair[0] != r1:
             raise RelationViolationError(f"R2({n + 1}) != R1({n})")
-        if r != r2 + r2_next:
-            raise RelationViolationError(f"R({n}) != R2({n}) + R2({n + 1})")
-        if (r != seq_value(SeqId.R1, 2 * n)
-                or r != seq_value(SeqId.R2, 2 * n + 1)):
+        if r2 + r1 != _r2_pair(2 * n + 1)[0]:
             raise RelationViolationError(f"R({n}) != R1({2 * n}) = R2({2 * n + 1})")
-        rows.append((n, r, r1, r2))
+        rows.append((n, r2 + r1, r1, r2))
     return SequenceTable(rows)

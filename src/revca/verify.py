@@ -57,11 +57,11 @@ def _state_diff(a: SecondOrderState, b: SecondOrderState, limit: int = 8) -> str
 def suite_counts(n_max: int = 512, step_fn: StepFn = first_order_step) -> SuiteReport:
     """Simulated tallies of all four lifts match the closed-form recursions."""
     name, rng = "counts", f"n=0..{n_max}"
+    rows = seq.build_table(n_max).rows
     for rule in Rule:
-        for n, rec in enumerate(trajectory_counts(rule, n_max, step_fn)):
-            c = rec[1:]  # (r1, r2, r3, total)
-            want = (seq.seq_value(SeqId.R1, n), seq.seq_value(SeqId.R2, n),
-                    0, seq.seq_value(SeqId.R, n))
+        counts = trajectory_counts(rule, n_max, step_fn)
+        for (n, r, r1, r2), rec in zip(rows, counts):
+            c, want = rec[1:], (r1, r2, 0, r)  # (r1, r2, r3, total)
             if c != want:
                 return _fail(name, rng, f"rule={rule.value} n={n} "
                                         f"counts={c} expected {want}")

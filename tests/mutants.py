@@ -1,0 +1,160 @@
+"""Mutation harness: every seeded mutant must make its test module fail.
+
+Run from any directory:
+
+    python tests/mutants.py              # all mutants; exit 1 on a survivor
+    python tests/mutants.py --selftest   # a docstring-only mutant survives
+
+A mutant is (name, file under src/, exact source text, replacement, test
+module).  For each one the script copies src/ to a temporary directory,
+makes the edit there and runs ``pytest -x -q`` on the test module with the
+copy first on PYTHONPATH; the mutant is killed when pytest fails.  Text
+that is not found exactly once in its file stops the run (exit 2), so a
+refactor cannot retire a mutant silently.  Before any mutant, each named
+module must pass on an unmutated copy.  Standard library only; pytest does
+not collect this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    module: str
+
+
+_ROW = "        rows.append((n, r2 + r1, r1, r2))\n"
+
+MUTANTS = [
+    Mutant("build_table without the consecutive-walk check",
+           "revca/sequences.py",
+           '        if pair[0] != r1:\n'
+           '            raise RelationViolationError(f"R2({n + 1}) != R1({n})")\n',
+           "", "test_sequences.py"),
+    Mutant("build_table without the R(n) = R2(2n+1) check",
+           "revca/sequences.py",
+           "        if r2 + r1 != _r2_pair(2 * n + 1)[0]:\n"
+           '            raise RelationViolationError(f"R({n}) != R1({2 * n}) '
+           '= R2({2 * n + 1})")\n',
+           "", "test_sequences.py"),
+    Mutant("R1 read from R2(n)", "revca/sequences.py",
+           _ROW, _ROW.replace("r1, r2))", "r2, r2))"), "test_sequences.py"),
+    Mutant("R1 = R2(n-1) in the recursive columns", "revca/sequences.py",
+           _ROW, _ROW.replace("r1, r2))", "rows[-1][3] if rows else 0, r2))"),
+           "test_cli.py"),
+    Mutant("swapping two ladder statements", "revca/sequences.py",
+           "            a += b\n            b <<= 2\n",
+           "            b <<= 2\n            a += b\n", "test_sequences.py"),
+    Mutant("breaking the split's resplit", "revca/sequences.py",
+           "k, j = k - 1, 1 << (k - 1)", "k, j = k, 1 << (k - 1)",
+           "test_sequences.py"),
+    Mutant("suite_counts comparing the wrong column", "revca/verify.py",
+           "want = rec[1:], (r1, r2, 0, r)", "want = rec[1:], (r2, r1, 0, r)",
+           "test_verify.py"),
+    Mutant("the table ceiling one row too high", "revca/cli.py",
+           "if n_max > _GREATEST_TABLE_MAX:",
+           "if n_max > _GREATEST_TABLE_MAX + 1:", "test_cli.py"),
+    Mutant("the table ceiling one row too low", "revca/cli.py",
+           "if n_max > _GREATEST_TABLE_MAX:",
+           "if n_max >= _GREATEST_TABLE_MAX:", "test_cli.py"),
+]
+
+# the harness's own negative control: no test reads a docstring
+SELFTEST = Mutant("docstring-only edit", "revca/sequences.py",
+                  '"""Sequence term by the binary ladder.',
+                  '"""Sequence term by the binary ladder, mutated.',
+                  "test_sequences.py")
+
+
+def _fails(module: str, edit: Mutant | None) -> bool:
+    """Whether pytest fails ``module`` on a copy of src/ with ``edit`` made."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src,
+                        ignore=shutil.ignore_patterns("__pycache__",
+                                                      "*.egg-info"))
+        if edit is not None:
+            path = src / edit.file
+            text = path.read_text()
+            if text.count(edit.old) != 1:
+                raise LookupError(f"mutant {edit.name!r}: its text is not "
+                                  f"found exactly once in src/{edit.file}")
+            path.write_text(text.replace(edit.old, edit.new))
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   PYTHONDONTWRITEBYTECODE="1")
+        if edit is None:  # an installed revca must not shadow the copy
+            where = subprocess.run(
+                [sys.executable, "-c", "import revca; print(revca.__file__)"],
+                env=env, cwd=tmp, capture_output=True, text=True, check=True)
+            if not Path(where.stdout.strip()).is_relative_to(src):
+                raise RuntimeError(f"tests would import {where.stdout.strip()}"
+                                   f", not the copy in {src}")
+        # cwd=tmp keeps hypothesis's example database out of the checkout
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+             "no:cacheprovider", str(ROOT / "tests" / module)],
+            env=env, cwd=tmp, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL).returncode != 0
+
+
+def survivors(mutants: list[Mutant]) -> list[Mutant]:
+    """The mutants that no test of their module kills."""
+    for module in sorted({m.module for m in mutants}):
+        if _fails(module, None):
+            raise RuntimeError(f"tests/{module} fails without a mutant")
+    alive = []
+    for m in mutants:
+        killed = _fails(m.module, m)
+        print(f"{'killed  ' if killed else 'SURVIVED'} {m.name} "
+              f"(src/{m.file}, tests/{m.module})", flush=True)
+        if not killed:
+            alive.append(m)
+    return alive
+
+
+def selftest() -> int:
+    """0 when the docstring mutant survives and a missing text stops."""
+    try:
+        _fails(SELFTEST.module, SELFTEST._replace(old="no such text"))
+        print("FAIL: a mutant whose text is missing did not stop the run")
+        return 1
+    except LookupError as e:
+        print(f"stopped as expected: {e}")
+    if survivors([SELFTEST]) != [SELFTEST]:
+        print("FAIL: the docstring-only mutant was not reported as a survivor")
+        return 1
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--selftest", action="store_true",
+                   help="check that the harness reports a survivor")
+    args = p.parse_args(argv)
+    if args.selftest:
+        return selftest()
+    try:
+        alive = survivors(MUTANTS)
+    except LookupError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    print(f"{len(MUTANTS) - len(alive)} of {len(MUTANTS)} mutants killed")
+    return 1 if alive else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revca import sequences, verify
-from revca.cli import _sequence_columns, main, state_from_text, state_to_text
+from revca import cli, sequences, verify
+from revca.cli import (_GREATEST_TABLE_MAX, _sequence_columns, main,
+                       state_from_text, state_to_text)
 from revca.gf2poly import state_poly_at
 from revca.grid import single_seed
 from revca.rules import Rule, evolve
@@ -238,6 +239,27 @@ def test_sequence_size_guard_exit_2(capsys, argv):
     assert time.perf_counter() - t0 < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error:") and "8190" in err
+
+
+class _ColumnsBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("method", ["recursive", "alt"])
+def test_table_ceiling_exit_2(capsys, monkeypatch, method):
+    def columns(*args):
+        raise _ColumnsBuilt
+
+    monkeypatch.setattr(cli, "_sequence_columns", columns)
+    with pytest.raises(_ColumnsBuilt):  # the ceiling itself is allowed
+        main(["sequence", "--method", method,
+              "--max", str(_GREATEST_TABLE_MAX)])
+    code, out, err = run(capsys, "sequence", "--method", method,
+                         "--max", str(_GREATEST_TABLE_MAX + 1))
+    assert code == 2 and out == ""
+    assert err == (f"error: --max {_GREATEST_TABLE_MAX + 1} is above "
+                   f"{_GREATEST_TABLE_MAX}, the ceiling of the recursive "
+                   f"and alt tables\n")
 
 
 @pytest.mark.parametrize("suite", ["counts", "diamond", "replication",

@@ -149,6 +149,32 @@ def test_relation_violation_is_unreachable_but_raisable():
     assert issubclass(RelationViolationError, AssertionError)
 
 
+@pytest.mark.parametrize("index, message", [
+    (6, "R2(6) != R1(5)"),            # walk 6 disagrees with walk 5
+    (15, "R(7) != R1(14) = R2(15)"),  # walk 15 checks row 7 only
+])
+def test_relation_checks_negative_control(monkeypatch, index, message):
+    good = seq._r2_pair
+
+    def wrong_at_index(n):
+        a, b = good(n)
+        return (a + 1, b) if n == index else (a, b)
+
+    monkeypatch.setattr(seq, "_r2_pair", wrong_at_index)
+    with pytest.raises(RelationViolationError) as err:
+        build_table(8)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 15, 200])
+def test_build_table_walks_the_ladder_once_per_row(monkeypatch, n_max):
+    # walks 0..n_max+1 for the rows, and walk 2n+1 to check row n
+    calls, good = [], seq._r2_pair
+    monkeypatch.setattr(seq, "_r2_pair", lambda n: calls.append(n) or good(n))
+    build_table(n_max)
+    assert len(calls) <= 2 * n_max + 3
+
+
 HUGE = [2 ** 40 + 12345, 2 ** 60 + 987654321, 2 ** 200 + 7]
 
 

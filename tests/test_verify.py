@@ -132,6 +132,15 @@ def test_counts_negative_control():
     assert "rule=C2" in report.witness
 
 
+def test_counts_reads_the_table(monkeypatch):
+    # the expected tallies are build_table's rows, not a walk per term
+    def no_walk(*args):
+        raise AssertionError("suite_counts walked the ladder per term")
+
+    monkeypatch.setattr(verify.seq, "seq_value", no_walk)
+    assert verify.suite_counts(48).passed
+
+
 def test_replication_negative_control():
     report = verify.suite_replication(3, step_fn=corrupt_c2_missing_neighbor)
     assert not report.passed
