@@ -6,6 +6,12 @@ reversibility, polynomial state formula, coloring, sublattice embedding,
 diamond landmarks, backward growth) and returns a :class:`SuiteReport`
 with an explicit witness on failure.
 
+Each suite is declared once, by ``@_suite(var, least, default, greatest)``
+on a check that returns a witness or None.  The public ``suite_<name>(
+limit=default, step_fn)`` raises ValueError before any work for a limit
+outside ``least..greatest``, on every call path, and labels its report
+``var=least..limit``.
+
 Every state a suite checks comes from the one stepping loop of
 :mod:`revca.rules`, whose bit-packed planes ``counts`` and ``coloring``
 read.  ``polynomial`` and ``backward_growth`` share one growth check that
@@ -19,6 +25,7 @@ it; production callers never pass it.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from itertools import islice, pairwise
 from dataclasses import asdict, dataclass
 
@@ -40,12 +47,36 @@ class SuiteReport:
     witness: str | None = None
 
 
-def _fail(name: str, rng: str, witness: str) -> SuiteReport:
-    return SuiteReport(name, rng, False, witness)
+#: suite name -> (function, default range argument)
+SUITES: dict[str, tuple[Callable[..., SuiteReport], int]] = {}
+#: smallest range argument that checks anything
+_LEAST_RANGE: dict[str, int] = {}
+#: largest range argument of each suite, measured in a fresh process to run
+#: within 60 s and 1 GiB on a 2-core machine; no suite stores a trajectory,
+#: so time sets each one (a walk to n takes time as n^3), except diamond's,
+#: which is the walk's own bound: the last 2^k - 1 <= MAX_SEED_STEPS
+_GREATEST_RANGE: dict[str, int] = {}
 
 
-def _ok(name: str, rng: str) -> SuiteReport:
-    return SuiteReport(name, rng, True)
+def _suite(var: str, least: int, default: int, greatest: int):
+    """Register ``check(limit, step_fn) -> witness | None`` as a suite."""
+    def register(check: Callable[[int, StepFn], str | None]):
+        name = check.__name__.removeprefix("suite_")
+
+        def suite(limit: int = default,
+                  step_fn: StepFn = first_order_step) -> SuiteReport:
+            limit = _checked_limit(name, limit)
+            w = check(limit, step_fn)
+            return SuiteReport(name, f"{var}={least}..{limit}", w is None, w)
+
+        # no __wrapped__, so inspect.signature shows the default range
+        suite.__name__ = suite.__qualname__ = check.__name__
+        suite.__doc__ = check.__doc__
+        SUITES[name] = (suite, default)
+        _LEAST_RANGE[name] = least
+        _GREATEST_RANGE[name] = greatest
+        return suite
+    return register
 
 
 def _state_diff(a: SecondOrderState, b: SecondOrderState, limit: int = 8) -> str:
@@ -54,22 +85,21 @@ def _state_diff(a: SecondOrderState, b: SecondOrderState, limit: int = 8) -> str
     return f"current diff {dc}, previous diff {dp}"
 
 
-def suite_counts(n_max: int = 512, step_fn: StepFn = first_order_step) -> SuiteReport:
+@_suite("n", 0, 512, 2600)
+def suite_counts(n_max: int, step_fn: StepFn) -> str | None:
     """Simulated tallies of all four lifts match the closed-form recursions."""
-    name, rng = "counts", f"n=0..{n_max}"
     rows = seq.build_table(n_max).rows
     for rule in Rule:
         counts = trajectory_counts(rule, n_max, step_fn)
         for (n, r, r1, r2), rec in zip(rows, counts):
             c, want = rec[1:], (r1, r2, 0, r)  # (r1, r2, r3, total)
             if c != want:
-                return _fail(name, rng, f"rule={rule.value} n={n} "
-                                        f"counts={c} expected {want}")
-    return _ok(name, rng)
+                return f"rule={rule.value} n={n} counts={c} expected {want}"
+    return None
 
 
-def suite_equivalence(n_max: int = 256,
-                      step_fn: StepFn = first_order_step) -> SuiteReport:
+@_suite("n", 0, 256, 2500)
+def suite_equivalence(n_max: int, step_fn: StepFn) -> str | None:
     """R2, R3, R3' agree as full states from the seed.
 
     Also checks the lemma that makes them agree, stated through the rules
@@ -78,27 +108,24 @@ def suite_equivalence(n_max: int = 256,
     every cell with one occupied orthogonal neighbor has all four diagonal
     neighbors empty.
     """
-    name, rng = "equivalence", f"n=0..{n_max}"
     runs = zip(*(trajectory(rule, n_max, step_fn=step_fn)
                  for rule in (Rule.C2, Rule.C3, Rule.C3p)))
     for n, (s2, s3, s3p) in enumerate(runs):
         if s3 != s2:
-            return _fail(name, rng, f"R3 != R2 at n={n}: {_state_diff(s3, s2)}")
+            return f"R3 != R2 at n={n}: {_state_diff(s3, s2)}"
         if s3p != s2:
-            return _fail(name, rng, f"R3' != R2 at n={n}: {_state_diff(s3p, s2)}")
+            return f"R3' != R2 at n={n}: {_state_diff(s3p, s2)}"
         # f_C3' <= f_C3 <= f_C2 cell by cell: step C3 only to name a failure
         c2 = first_order_step(Rule.C2, s2.current)
         if first_order_step(Rule.C3p, s2.current) != c2:
             if first_order_step(Rule.C3, s2.current) != c2:
-                return _fail(name, rng,
-                             f"cell with 3 orthogonal neighbors at n={n}")
-            return _fail(name, rng,
-                         f"switching cell with diagonal neighbor at n={n}")
-    return _ok(name, rng)
+                return f"cell with 3 orthogonal neighbors at n={n}"
+            return f"switching cell with diagonal neighbor at n={n}"
+    return None
 
 
-def suite_replication(k_max: int = 6,
-                      step_fn: StepFn = first_order_step) -> SuiteReport:
+@_suite("k", 0, 6, 10)
+def suite_replication(k_max: int, step_fn: StepFn) -> str | None:
     """First-order C1/C2 replicate any 2^k-boxed pattern into 4 disjoint copies.
 
     The patterns are the states f^m(seed) of the first-order seed
@@ -109,7 +136,6 @@ def suite_replication(k_max: int = 6,
     state is step 2^k + m of the same trajectory, so one trajectory per
     rule, to step 2^k_max + (2^k_max - 1) // 2, derives every state once.
     """
-    name, rng = "replication", f"k=0..{k_max}"
     m_top = ((1 << k_max) - 1) // 2  # the last pattern that fits in 2^k_max
     for rule in (Rule.C1, Rule.C2):
         T, g = transition_poly(rule), BinaryGrid([(0, 0)])
@@ -124,12 +150,12 @@ def suite_replication(k_max: int = 6,
                 continue
             copies = _copies(T, 1 << k, patterns[m])
             if copies is None:
-                return _fail(name, rng, f"rule={rule.value} k={k} pattern "
-                                        f"step {m}: copies overlap")
+                return (f"rule={rule.value} k={k} pattern step {m}: "
+                        f"copies overlap")
             if g != copies:
-                return _fail(name, rng, f"rule={rule.value} k={k} pattern "
-                                        f"step {m}: 2^k steps != four copies")
-    return _ok(name, rng)
+                return (f"rule={rule.value} k={k} pattern step {m}: "
+                        f"2^k steps != four copies")
+    return None
 
 
 def _copies(T: BinaryGrid, d: int, g: BinaryGrid) -> BinaryGrid | None:
@@ -139,14 +165,13 @@ def _copies(T: BinaryGrid, d: int, g: BinaryGrid) -> BinaryGrid | None:
     return combined if len(combined) == len(g) * len(T) else None
 
 
-def suite_reversibility(n_max: int = 256,
-                        step_fn: StepFn = first_order_step) -> SuiteReport:
+@_suite("n", 0, 256, 2150)
+def suite_reversibility(n_max: int, step_fn: StepFn) -> str | None:
     """X F X undoes F along all four seed walks (see :func:`_undo_witness`)."""
-    name, rng = "reversibility", f"n=0..{n_max}"
     for rule in Rule:
         if w := _undo_witness(rule, n_max, step_fn):
-            return _fail(name, rng, f"rule={rule.value} {w}")
-    return _ok(name, rng)
+            return f"rule={rule.value} {w}"
+    return None
 
 
 def _undo_witness(rule: Rule, n_max: int, step_fn: StepFn) -> str | None:
@@ -164,8 +189,8 @@ def _undo_witness(rule: Rule, n_max: int, step_fn: StepFn) -> str | None:
     return None
 
 
-def suite_polynomial(n_max: int = 128,
-                     step_fn: StepFn = first_order_step) -> SuiteReport:
+@_suite("n", 0, 128, 2048)
+def suite_polynomial(n_max: int, step_fn: StepFn) -> str | None:
     """State formula (f_{n+1}(T), f_n(T)) matches simulation; decompositions hold.
 
     Once every state up to n_max equals its ladder polynomials, the growth
@@ -173,18 +198,16 @@ def suite_polynomial(n_max: int = 128,
     five-pattern split of f_n off walks, for both linear rules and both
     components, with disjoint supports (see :func:`_growth_witness`).
     """
-    name, rng = "polynomial", f"n=0..{n_max}"
     for rule in (Rule.C1, Rule.C2):
         for n, s in enumerate(trajectory(rule, n_max, step_fn=step_fn)):
             pp = state_poly_at(rule, n)
             if pp.first != s.current or pp.second != s.previous:
-                return _fail(name, rng,
-                             f"rule={rule.value} n={n}: polynomial state "
-                             f"differs from simulation")
+                return (f"rule={rule.value} n={n}: polynomial state "
+                        f"differs from simulation")
     for rule in (Rule.C1, Rule.C2):
         if w := _growth_witness(rule, transition_poly(rule), n_max, step_fn):
-            return _fail(name, rng, f"rule={rule.value} {w}")
-    return _ok(name, rng)
+            return f"rule={rule.value} {w}"
+    return None
 
 
 def _growth_witness(rule: Rule, T: BinaryGrid, n_max: int,
@@ -221,8 +244,8 @@ def _growth_witness(rule: Rule, T: BinaryGrid, n_max: int,
     return None
 
 
-def suite_coloring(n_max: int = 256,
-                   step_fn: StepFn = first_order_step) -> SuiteReport:
+@_suite("n", 0, 256, 3100)
+def suite_coloring(n_max: int, step_fn: StepFn) -> str | None:
     """Checkerboard separation of value-1 and value-2 cells.
 
     R2: no value-3 cell; value-1 cells sit on parity n mod 2 of i+j,
@@ -231,27 +254,24 @@ def suite_coloring(n_max: int = 256,
     coordinates (n mod 2, n mod 2) mod 2 and value-2 on the complementary
     coset.  The checks read the walks' planes: no grid is handed out.
     """
-    name, rng = "coloring", f"n=0..{n_max}"
     runs = zip(_walk(Rule.C1, n_max, single_seed(), step_fn),
                _walk(Rule.C2, n_max, single_seed(), step_fn))
     for n, (p1, p2) in enumerate(runs):
         for p, rule in ((p1, "R1"), (p2, "R2")):
             if p.tally(n).r3:
-                return _fail(name, rng, f"{rule} n={n}: value-3 cell present")
+                return f"{rule} n={n}: value-3 cell present"
         # forward walks: plane 0 is the current component, plane 1 previous
         for p, rule, coset, lattice in (
                 (p2, "R2", False, "checkerboard parity"),
                 (p1, "R1", True, "sublattice coset")):
             if any(p.off_lattice(k, (n + k) & 1, coset) for k in (0, 1)):
-                return _fail(name, rng,
-                             f"{rule} n={n}: component off its {lattice}")
-    return _ok(name, rng)
+                return f"{rule} n={n}: component off its {lattice}"
+    return None
 
 
-def suite_sublattice(n_max: int = 256,
-                     step_fn: StepFn = first_order_step) -> SuiteReport:
+@_suite("n", 0, 256, 1500)
+def suite_sublattice(n_max: int, step_fn: StepFn) -> str | None:
     """R2 is R1 restricted to the even diagonal sublattice, step by step."""
-    name, rng = "sublattice", f"n=0..{n_max}"
     runs = zip(trajectory(Rule.C1, n_max, step_fn=step_fn),
                trajectory(Rule.C2, n_max, step_fn=step_fn))
     for n, (s1, s2) in enumerate(runs):
@@ -259,10 +279,10 @@ def suite_sublattice(n_max: int = 256,
             cur = diagonal_extract(s1.current, "even")
             prev = diagonal_extract(s1.previous, "even")
         except ValueError as e:
-            return _fail(name, rng, f"n={n}: {e}")
+            return f"n={n}: {e}"
         if cur != s2.current or prev != s2.previous:
-            return _fail(name, rng, f"n={n}: extracted R1 state != R2 state")
-    return _ok(name, rng)
+            return f"n={n}: extracted R1 state != R2 state"
+    return None
 
 
 def diamond_cells(n: int) -> frozenset[tuple[int, int]]:
@@ -272,34 +292,33 @@ def diamond_cells(n: int) -> frozenset[tuple[int, int]]:
     return frozenset((u, v) for u in pts for v in pts)
 
 
-def suite_diamond(k_max: int = 5,
-                  step_fn: StepFn = first_order_step) -> SuiteReport:
+@_suite("k", 0, 5, (MAX_SEED_STEPS + 1).bit_length() - 1)
+def suite_diamond(k_max: int, step_fn: StepFn) -> str | None:
     """At n = 2^k - 1 the R1 value-1 cells form the 4^k checkerboard diamond."""
-    name, rng = "diamond", f"k=0..{k_max}"
     walk = _walk(Rule.C1, (1 << k_max) - 1, single_seed(), step_fn)
     for target, planes in enumerate(walk):
         if target & (target + 1):  # not of the form 2^k - 1
             continue
         k, ones = target.bit_length(), planes.grid(0)
         if len(ones) != 4 ** k:
-            return _fail(name, rng, f"k={k}: |value-1| = {len(ones)} != 4^{k}")
+            return f"k={k}: |value-1| = {len(ones)} != 4^{k}"
         if seq.seq_value(SeqId.R1, target) != 4 ** k:
-            return _fail(name, rng, f"k={k}: R1(2^{k}-1) != 4^{k}")
+            return f"k={k}: R1(2^{k}-1) != 4^{k}"
         # 4^k cells in [-target, target]^2, all on the coset i = j = target
         # mod 2, which has 4^k cells there: the checkerboard diamond
         if (ones.bounds() != (-target, target, -target, target)
                 or planes.off_lattice(0, target & 1, True)):
-            return _fail(name, rng, f"k={k}: value-1 set is not the "
-                                    f"predicted checkerboard diamond")
+            return (f"k={k}: value-1 set is not the predicted "
+                    f"checkerboard diamond")
     for k in range(9):
         target = (1 << k) - 1
         if seq.seq_value(SeqId.R, target) != (4 ** (k + 1) - 1) // 3:
-            return _fail(name, rng, f"k={k}: R(2^{k}-1) != (4^{k + 1}-1)/3")
-    return _ok(name, rng)
+            return f"k={k}: R(2^{k}-1) != (4^{k + 1}-1)/3"
+    return None
 
 
-def suite_backward_growth(k_max: int = 6,
-                          step_fn: StepFn = first_order_step) -> SuiteReport:
+@_suite("k", 1, 6, 10)
+def suite_backward_growth(k_max: int, step_fn: StepFn) -> str | None:
     """Backward dynamics of the central region in the growth decomposition.
 
     For n = 2^k + j the decomposition C_n = T^{2^k} C_j + X C_{2^k-j-1}
@@ -311,45 +330,14 @@ def suite_backward_growth(k_max: int = 6,
     the decomposition, with disjoint supports in both components, and the
     4 seeds for every n up to 2^{k_max+1} (:func:`_growth_witness`).
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    name, rng = "backward_growth", f"k=1..{k_max}"
-    w = (_undo_witness(Rule.C1, 1 << k_max, step_fn) or _growth_witness(
+    return (_undo_witness(Rule.C1, 1 << k_max, step_fn) or _growth_witness(
         Rule.C1, transition_poly(Rule.C1), 2 << k_max, step_fn))
-    return _fail(name, rng, w) if w else _ok(name, rng)
-
-
-#: suite name -> (function, default range argument)
-SUITES = {
-    "counts": (suite_counts, 512),
-    "equivalence": (suite_equivalence, 256),
-    "replication": (suite_replication, 6),
-    "reversibility": (suite_reversibility, 256),
-    "polynomial": (suite_polynomial, 128),
-    "coloring": (suite_coloring, 256),
-    "sublattice": (suite_sublattice, 256),
-    "diamond": (suite_diamond, 5),
-    "backward_growth": (suite_backward_growth, 6),
-}
-
-
-#: smallest range argument that checks anything; 0 for suites not listed
-_LEAST_RANGE = {"backward_growth": 1}
-#: largest range argument of each suite, measured in a fresh process to run
-#: within 60 s and 1 GiB on a 2-core machine; no suite stores a trajectory,
-#: so time sets each one (a walk to n takes time as n^3), except diamond's,
-#: which is the walk's own bound: the last 2^k - 1 <= MAX_SEED_STEPS
-_GREATEST_RANGE = {"counts": 2600, "equivalence": 2500, "replication": 10,
-                   "reversibility": 2150, "polynomial": 2048,
-                   "coloring": 3100, "sublattice": 1500,
-                   "diamond": (MAX_SEED_STEPS + 1).bit_length() - 1,
-                   "backward_growth": 10}
 
 
 def _checked_limit(name: str, limit: int | None) -> int:
     """The suite's range argument; one outside its bounds raises."""
     limit = SUITES[name][1] if limit is None else limit
-    if limit < _LEAST_RANGE.get(name, 0):
+    if limit < _LEAST_RANGE[name]:
         raise ValueError(f"suite {name}: limit {limit} gives an empty range")
     if limit > (top := _GREATEST_RANGE[name]):
         raise ValueError(f"suite {name}: limit {limit} is above its ceiling {top}")

@@ -71,6 +71,35 @@ MUTANTS = [
     Mutant("the table ceiling one row too low", "revca/cli.py",
            "if n_max > _GREATEST_TABLE_MAX:",
            "if n_max >= _GREATEST_TABLE_MAX:", "test_cli.py"),
+    Mutant("a suite that runs its check on an unchecked limit",
+           "revca/verify.py", "            limit = _checked_limit(name, limit)\n",
+           "", "test_verify.py"),
+    Mutant("a suite's range label that starts at 0", "revca/verify.py",
+           'f"{var}={least}..{limit}"', 'f"{var}=0..{limit}"',
+           "test_acceptance.py"),
+    Mutant("the undo check without its per-step check", "revca/verify.py",
+           "        if second_order_step(rule, swap_x(last), step_fn) "
+           "!= swap_x(before):\n"
+           '            return f"F(X C_{i}) != X C_{i - 1}"\n',
+           "        pass\n", "test_verify.py"),
+    Mutant("the undo check without the walk back to the seed",
+           "revca/verify.py",
+           "    if evolve(rule, last, -n_max, step_fn) != single_seed():\n"
+           '        return f"C_{n_max} walked back {n_max} steps is not the '
+           'seed"\n', "", "test_verify.py"),
+    Mutant("the growth check without its 4-seeds check", "revca/verify.py",
+           "            if j == 0 and len(outer) != 4:\n"
+           '                return f"n=2^{k}: outer copies are not 4 seeds"\n',
+           "", "test_verify.py"),
+    Mutant("suite_diamond without its bounds check", "revca/verify.py",
+           "ones.bounds() != (-target, target, -target, target)\n"
+           "                or ", "", "test_verify.py"),
+    Mutant("suite_diamond without its coset check", "revca/verify.py",
+           "\n                or planes.off_lattice(0, target & 1, True))", ")",
+           "test_verify.py"),
+    Mutant("off_lattice with its coloring masks swapped", "revca/rules.py",
+           "np.where(odd == 1, _EVEN_BITS, ~_EVEN_BITS)",
+           "np.where(odd == 1, ~_EVEN_BITS, _EVEN_BITS)", "test_verify.py"),
 ]
 
 # the harness's own negative control: no test reads a docstring

@@ -158,6 +158,9 @@ def test_verify_env_default(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "sublattice")
     assert code == 0
     assert "n=0..16" in out
+    monkeypatch.setenv("CA_DEFAULT_MAX", "x")
+    assert run(capsys, "verify") == (
+        2, "", "error: CA_DEFAULT_MAX must be an integer, got 'x'\n")
 
 
 def test_verify_json(capsys):

@@ -1,4 +1,6 @@
+import inspect
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -413,9 +415,17 @@ def test_report_formats():
     assert parsed[1]["witness"]
 
 
-def test_backward_growth_range_guard():
-    with pytest.raises(ValueError):
-        verify.suite_backward_growth(0)
+@pytest.mark.parametrize("name", list(verify.SUITES))
+def test_direct_calls_check_their_range(name):
+    fn, default = verify.SUITES[name]
+    assert inspect.signature(fn).parameters["limit"].default == default
+    least, top = verify._LEAST_RANGE[name], verify._GREATEST_RANGE[name]
+    for limit, message in ((least - 1, "gives an empty range"),
+                           (top + 1, "above its ceiling")):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=message):
+            fn(limit)
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_run_all_checks_ranges_before_running(monkeypatch):
