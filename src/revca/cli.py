@@ -20,7 +20,7 @@ from . import sequences as seq
 from . import verify
 from .gf2poly import state_poly_at
 from .grid import (SecondOrderState, count_values, grid_from_text,
-                   grid_to_text, single_seed)
+                   grid_to_text, single_seed, swap_x)
 from .render import render
 from .rules import MAX_SEED_STEPS, Rule, evolve, parse_rule, trajectory_counts
 from .sequences import SeqId
@@ -57,14 +57,26 @@ def state_from_text(text: str) -> SecondOrderState:
     return SecondOrderState(*(grid_from_text("\n".join(b)) for b in blocks))
 
 
+def _seed_state(rule: Rule, n: int) -> SecondOrderState:
+    """The state n steps from the single seed.  R1 and R2 take it off the
+    doubling ladder, for n < 0 as the swap of step -n - 1, since F^-1 =
+    X F X and X of the seed is its step -1.  R3 and R3p, which equal R2
+    only by the theorem that ``equivalence`` checks, and |n| >
+    MAX_SEED_STEPS, which the walk refuses, walk."""
+    if rule in (Rule.C1, Rule.C2) and abs(n) <= MAX_SEED_STEPS:
+        s = SecondOrderState(*state_poly_at(rule, n if n >= 0 else -n - 1))
+        return s if n >= 0 else swap_x(s)
+    return evolve(rule, single_seed(), n)
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     rule = parse_rule(args.rule)
     if args.load:
         with open(args.load) as f:
-            state = state_from_text(f.read())
+            text = f.read()
+        state = evolve(rule, state_from_text(text), args.steps)
     else:
-        state = single_seed()
-    state = evolve(rule, state, args.steps)
+        state = _seed_state(rule, args.steps)
     c = count_values(state, args.steps)
     if args.format == "json":
         out = json.dumps({"n": c.n, "R1": c.r1, "R2": c.r2,
@@ -150,14 +162,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     rule = parse_rule(args.rule)
-    state = evolve(rule, single_seed(), args.step)
+    state = _seed_state(rule, args.step)
     _write(args.out, render(state, abs(args.step), args.format))
     return 0
 
 
 def cmd_export(args: argparse.Namespace) -> int:
     rule = parse_rule(args.rule)
-    state = evolve(rule, single_seed(), args.steps)
+    state = _seed_state(rule, args.steps)
     _write(args.out, state_to_text(state))
     return 0
 

@@ -12,10 +12,12 @@ a state (by default the single seed) forward, or backward as the forward
 walk of the swapped state, and yields every state on the way.
 
 Each rule has one kernel, ``_rule_words``, on the bit-packed rows that a
-:class:`~revca.grid.BinaryGrid` keeps.  ``first_order_step`` runs it on
-one grid.  A walk runs it flat over whole rows of two compact planes,
-with temporaries in scratch that the walk keeps, and xors each result
-into the older plane in place; the tallies and the coloring checks read
+:class:`~revca.grid.BinaryGrid` keeps; it binds the rule's ufuncs to
+views made once and returns the call.  ``first_order_step`` binds it on
+one grid and runs it once.  A walk binds it once per layout of its two
+compact planes, over their whole rows and with temporaries in scratch
+that the walk keeps; each step is one call, which xors the result into
+the older plane in place.  The tallies and the coloring checks read
 the plane words.  The tests check the kernel against a dense
 neighbor-count stencil, kept there as the independent oracle.
 """
@@ -61,54 +63,66 @@ _EVEN_BITS = np.uint64(0x5555555555555555)
 
 
 def _rule_words(rule: Rule, x: np.ndarray, nw: int, acc: np.ndarray,
-                tmp: np.ndarray) -> None:
-    """acc ^= f on the packed rows of x but the first and the last, each
-    reading the rows above and below; x is flat and row-major with nw words
-    per row, acc holds the len(x) - 2 nw words of the rows computed and tmp
-    is scratch of at least 4 len(x) words.
+                tmp: np.ndarray) -> Callable[[], None]:
+    """A call that runs acc ^= f on the packed rows of x but the first and
+    the last, each reading the rows above and below; x is flat and
+    row-major with nw words per row, acc holds the len(x) - 2 nw words of
+    the rows computed and tmp is scratch of at least 4 len(x) words.
 
-    One shift each way by (1, 63) gives each word shifted by one and the
-    bit it carries into its neighbor, so bits move between the words of a
-    row; none crosses between rows because the first bit and the last bit
-    of every row of x are 0.
+    Every view is made here, once, and the call runs the rule's ufuncs on
+    them with ``out`` positional, so a walk binds it once per layout and
+    pays only the ufunc calls per step.  One shift each way by (1, 63)
+    gives each word shifted by one and the bit it carries into its
+    neighbor, so bits move between the words of a row; none crosses
+    between rows because the first bit and the last bit of every row of x
+    are 0.
     """
     m, r = len(x), 2 * nw
     t = tmp[:4 * m].reshape(4, m)
-    np.left_shift(x, _SHIFTS, out=t[:2])
-    np.right_shift(x, _SHIFTS, out=t[2:])
     west, east = t[0], t[2]  # bit j holds the cell at j - 1, at j + 1
-    west[1:] |= t[3, :-1]
-    east[:-1] |= t[1, 1:]
+    ops = [(np.left_shift, x, _SHIFTS, t[:2]),
+           (np.right_shift, x, _SHIFTS, t[2:]),
+           (np.bitwise_or, west[1:], t[3, :-1], west[1:]),
+           (np.bitwise_or, east[:-1], t[1, 1:], east[:-1])]
     if rule is Rule.C1:
-        west ^= east
-        acc ^= west[:-r]
-        acc ^= west[r:]
-        return
-    n, s, w, e = x[:-r], x[r:], west[nw:-nw], east[nw:-nw]
-    odd, pair = t[1, :m - r], t[3, :m - r]
-    np.bitwise_xor(n, s, out=odd)
-    odd ^= w
-    odd ^= e
-    if rule is not Rule.C2:
-        # odd parity is one or three neighbors, and any three hold N,S or W,E
-        odd &= np.invert(np.bitwise_and(n, s, out=pair), out=pair)
-        odd &= np.invert(np.bitwise_and(w, e, out=pair), out=pair)
-        if rule is Rule.C3p:  # and no diagonal neighbor
-            west |= east
-            odd &= np.invert(np.bitwise_or(west[:-r], west[r:], out=pair),
-                             out=pair)
-    acc ^= odd
+        ops += [(np.bitwise_xor, west, east, west),
+                (np.bitwise_xor, acc, west[:-r], acc),
+                (np.bitwise_xor, acc, west[r:], acc)]
+    else:
+        n, s, w, e = x[:-r], x[r:], west[nw:-nw], east[nw:-nw]
+        # east's row is free for N&S once W&E and the diagonals are read
+        odd, mask, ns = t[1, :m - r], t[3, :m - r], east[:m - r]
+        ops += [(np.bitwise_xor, n, s, odd), (np.bitwise_xor, odd, w, odd),
+                (np.bitwise_xor, odd, e, odd), (np.bitwise_xor, acc, odd, acc)]
+    if rule in (Rule.C3, Rule.C3p):
+        # odd parity is one or three neighbors, and any three hold N,S or
+        # W,E: acc ^= odd & mask takes back the cells the mask excludes
+        ops.append((np.bitwise_and, w, e, mask))
+        if rule is Rule.C3p:  # and so does any diagonal neighbor
+            ops += [(np.bitwise_or, west, east, west),
+                    (np.bitwise_or, mask, west[:-r], mask),
+                    (np.bitwise_or, mask, west[r:], mask)]
+        ops += [(np.bitwise_and, n, s, ns), (np.bitwise_or, mask, ns, mask),
+                (np.bitwise_and, mask, odd, mask),
+                (np.bitwise_xor, acc, mask, acc)]
+
+    def run() -> None:
+        for ufunc, a, b, out in ops:
+            ufunc(a, b, out)
+    return run
 
 
 def first_order_step(rule: Rule, g: BinaryGrid) -> BinaryGrid:
-    """One application of the named first-order rule: ``_rule_words`` on
-    g's words below two empty rows and right of one empty bit, cropped."""
+    """One application of the named first-order rule: the call that
+    ``_rule_words`` binds on g's words below two empty rows and right of
+    one empty bit, run once and cropped."""
     (i0, j0), w = g.origin, g._ncols
     nw = -(-(w + 2) // 64)  # the last bit of each row stays empty
     x = np.zeros((len(g._w) + 4, nw), _WORD)
     _xor_at(x, g._w, 2, 1)
     new = np.zeros((len(g._w) + 2, nw), _WORD)
-    _rule_words(rule, x.ravel(), nw, new.ravel(), np.empty(4 * x.size, _WORD))
+    _rule_words(rule, x.ravel(), nw, new.ravel(),
+                np.empty(4 * x.size, _WORD))()
     return _wrap_tight(new, i0 - 1, j0 - 1, w + 2)
 
 
@@ -154,11 +168,13 @@ class _Planes:
     reads two rows and one bit beyond the current box, so a step that
     would read past the planes first tightens both boxes and lays the
     planes out anew around them: at most once in pad - 1 steps, and never
-    in a walk of n <= _ROOM steps with ``margin = n + 1``.  The kernel's
-    temporaries live in one scratch buffer sized to the planes, which the
-    steps reuse until the next layout.  A walk whose start state grown by
-    ``margin`` spans more than ``MAX_PARSED_WINDOW`` cells is refused
-    before any plane is made.
+    in a walk of n <= _ROOM steps with ``margin = n + 1``.  The kernel runs
+    over whole plane rows, since f of an empty row is empty, so its views
+    are fixed for a layout: the first step after one binds one call per
+    plane role, both on one scratch buffer sized to the planes, and each
+    step runs one call; the calls swap along with the planes.  A walk
+    whose start state grown by ``margin`` spans more than
+    ``MAX_PARSED_WINDOW`` cells is refused before any plane is made.
     """
 
     def __init__(self, s: SecondOrderState, margin: int):
@@ -181,7 +197,7 @@ class _Planes:
         Column j0 lies whole words from the first part's j, up to 63
         columns further out than pad asks, so that part's words move
         without a bit shift: on a new layout, both parts' words."""
-        self._tmp: np.ndarray | None = None  # dropped before the new planes
+        self._calls: list[Callable[[], None]] = []  # and so their scratch
         parts_in = list(filter(None, parts))
         spans = [(i + r0, i + r1, j + c0, j + c1)
                  for _, i, j, (r0, r1, c0, c1) in parts_in]
@@ -203,7 +219,8 @@ class _Planes:
                                   j + c0 - j0, j + c1 - j0)
 
     def step(self, rule: Rule) -> None:
-        """X_{k+2} = f(X_{k+1}) + X_k, written over X_k; then swap roles."""
+        """X_{k+2} = f(X_{k+1}) + X_k, written over X_k; then swap roles.
+        The rule is bound at the first step after each layout."""
         # f reads two rows and one bit beyond the current box.  Boxes grow
         # alike in rows and columns, and a layout leaves the columns at least
         # the rows' room, so the rows run out first
@@ -212,19 +229,20 @@ class _Planes:
             self._lay_out([(p, *self.origin, b) if b else None for p, b
                            in zip(self.planes, map(self._tight, (0, 1)))])
         if self.boxes[0] is not None:  # it may have emptied on tightening
-            new, old = self.planes
-            if self._tmp is None:
-                self._tmp = np.empty(4 * new.size, _WORD)
-            # whole rows r0-2..r1+1 of X_{k+1} give rows r0-1..r1 of f
+            if not self._calls:  # each plane's rows give f on the other's
+                tmp = np.empty(4 * self.planes[0].size, _WORD)  # inner rows
+                self._calls = [_rule_words(rule, a.ravel(), a.shape[1],
+                                           b[1:-1].ravel(), tmp)
+                               for a, b in (self.planes, self.planes[::-1])]
+            self._calls[0]()
             r0, r1, c0, c1 = self.boxes[0]
-            _rule_words(rule, new[r0 - 2:r1 + 2].ravel(), new.shape[1],
-                        old[r0 - 1:r1 + 1].ravel(), self._tmp)
             # X_{k+2} lies in the box of X_k or that of X_{k+1} grown by one
             b0, b1, d0, d1 = self.boxes[1] or (r0, r1, c0, c1)
             self.boxes[1] = (min(r0 - 1, b0), max(r1 + 1, b1),
                              min(c0 - 1, d0), max(c1 + 1, d1))
         self.planes.reverse()
         self.boxes.reverse()
+        self._calls.reverse()
         self.grids = [None, self.grids[0]]
 
     def _tight(self, k: int) -> tuple[int, int, int, int] | None:

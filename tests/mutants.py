@@ -100,6 +100,33 @@ MUTANTS = [
     Mutant("off_lattice with its coloring masks swapped", "revca/rules.py",
            "np.where(odd == 1, _EVEN_BITS, ~_EVEN_BITS)",
            "np.where(odd == 1, ~_EVEN_BITS, _EVEN_BITS)", "test_verify.py"),
+    Mutant("a backward seed state read off the ladder at |n|", "revca/cli.py",
+           "n if n >= 0 else -n - 1", "n if n >= 0 else -n", "test_cli.py"),
+    # equal outputs: only the test that R3 still walks can kill it
+    Mutant("R3 seed states read off R2's ladder", "revca/cli.py",
+           "if rule in (Rule.C1, Rule.C2) and abs(n) <= MAX_SEED_STEPS:\n"
+           "        s = SecondOrderState(*state_poly_at(rule, ",
+           "if rule in (Rule.C1, Rule.C2, Rule.C3) and abs(n) <= "
+           "MAX_SEED_STEPS:\n        s = SecondOrderState(*state_poly_at("
+           "Rule.C2 if rule is Rule.C3 else rule, ", "test_cli.py"),
+    Mutant("a walk whose bound calls stay when the planes swap",
+           "revca/rules.py", "        self._calls.reverse()\n", "",
+           "test_rules.py"),
+    Mutant("the kernel without the carry into the west word",
+           "revca/rules.py",
+           "           (np.bitwise_or, west[1:], t[3, :-1], west[1:]),\n", "",
+           "test_rules.py"),
+    Mutant("the kernel without the carry into the east word",
+           "revca/rules.py",
+           ",\n           (np.bitwise_or, east[:-1], t[1, 1:], east[:-1])]",
+           "]", "test_rules.py"),
+    Mutant("C3's mask without its W and E term", "revca/rules.py",
+           "(np.bitwise_and, w, e, mask)", "(np.bitwise_and, w, 0, mask)",
+           "test_rules.py"),
+    Mutant("C3p's mask without its diagonal rows", "revca/rules.py",
+           ",\n                    (np.bitwise_or, mask, west[:-r], mask),\n"
+           "                    (np.bitwise_or, mask, west[r:], mask)]", "]",
+           "test_rules.py"),
 ]
 
 # the harness's own negative control: no test reads a docstring

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revca import cli, sequences, verify
+from revca import cli, rules, sequences, verify
 from revca.cli import (_GREATEST_TABLE_MAX, _sequence_columns, main,
                        state_from_text, state_to_text)
 from revca.gf2poly import state_poly_at
-from revca.grid import single_seed
-from revca.rules import Rule, evolve
+from revca.grid import count_values, single_seed
+from revca.render import render
+from revca.rules import LIFT_NAMES, Rule, evolve
 from revca.verify import _GREATEST_RANGE
 
 
@@ -217,6 +218,68 @@ def test_verify_all_checks_every_range_first(capsys):
     assert code == 2
     assert out == ""
     assert "backward_growth" in err
+
+
+def seed_commands(lift, n, out):
+    """simulate with --save, export and render in each format of the seed
+    state at step n; each writes the file of its name under out."""
+    common = ["--rule", lift, "--steps", str(n)]
+    argvs = {"simulate": ["simulate", *common, "--out", str(out / "simulate"),
+                          "--save", str(out / "save")],
+             "export": ["export", *common, "--out", str(out / "export")]}
+    for fmt in ("txt", "pbm", "ppm"):
+        argvs[fmt] = ["render", "--rule", lift, "--step", str(n),
+                      "--format", fmt, "--out", str(out / fmt)]
+    return argvs
+
+
+class _Walked(Exception):
+    pass
+
+
+def _no_walk(*args):
+    raise _Walked
+
+
+@pytest.mark.parametrize("lift", ["R1", "R2"])
+@pytest.mark.parametrize("n", [-5, 0, 64])
+def test_linear_seed_states_take_no_walk(tmp_path, monkeypatch, lift, n):
+    monkeypatch.setattr(rules, "_walk", _no_walk)
+    for argv in seed_commands(lift, n, tmp_path).values():
+        assert main(argv) == 0
+
+
+@pytest.mark.parametrize("lift", ["R3", "R3p"])
+@pytest.mark.parametrize("n", [-5, 64])
+def test_nonlinear_seed_states_walk(tmp_path, monkeypatch, lift, n):
+    # R3 and R3p equal R2 from the seed only by the equivalence theorem
+    monkeypatch.setattr(rules, "_walk", _no_walk)
+    for argv in seed_commands(lift, n, tmp_path).values():
+        with pytest.raises(_Walked):
+            main(argv)
+
+
+def test_loaded_states_walk(tmp_path, monkeypatch):
+    st = tmp_path / "state.txt"
+    assert main(["export", "--rule", "R1", "--steps", "4",
+                 "--out", str(st)]) == 0
+    monkeypatch.setattr(rules, "_walk", _no_walk)
+    with pytest.raises(_Walked):
+        main(["simulate", "--rule", "R1", "--steps", "3", "--load", str(st)])
+
+
+@pytest.mark.parametrize("lift", ["R1", "R2"])
+@pytest.mark.parametrize("n", [-300, -64, -1, 0, 1, 64, 257])
+def test_linear_seed_states_write_the_walks_bytes(tmp_path, lift, n):
+    s = evolve(LIFT_NAMES[lift], single_seed(), n)
+    c = count_values(s, n)
+    want = {"simulate": f"n={n} R1={c.r1} R2={c.r2} R3={c.r3} R={c.total}\n",
+            "save": state_to_text(s), "export": state_to_text(s)}
+    want.update((fmt, render(s, abs(n), fmt)) for fmt in ("txt", "pbm", "ppm"))
+    for argv in seed_commands(lift, n, tmp_path).values():
+        assert main(argv) == 0
+    for name, text in want.items():
+        assert (tmp_path / name).read_text() == text, name
 
 
 @pytest.mark.parametrize("argv", [

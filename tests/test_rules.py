@@ -148,14 +148,26 @@ def test_walks_across_layouts_match_lift_steps(rule, monkeypatch):
     # their first new layout, and one crosses three.  The starts: the seed;
     # (g, f(g)), whose current component empties at step 1; one whose
     # current component is empty at step _ROOM, when the planes are laid
-    # out anew; and a state across word edges
+    # out anew; and a state across word edges.  Each layout binds the
+    # kernel once per plane role, and each step runs one bound call
     layouts, lay_out = [], rules._Planes._lay_out
+    runs, bind = [], rules._rule_words
 
     def counted(planes, parts):
         layouts.append(parts)
         lay_out(planes, parts)
 
+    def counted_bind(*args):
+        call, k = bind(*args), len(runs)
+        runs.append(0)
+
+        def run():
+            runs[k] += 1
+            call()
+        return run
+
     monkeypatch.setattr(rules._Planes, "_lay_out", counted)
+    monkeypatch.setattr(rules, "_rule_words", counted_bind)
     room = rules._ROOM
     g = evolve(rule, single_seed(), 3).current
     starts = [single_seed(), SecondOrderState(g, first_order_step(rule, g)),
@@ -166,9 +178,17 @@ def test_walks_across_layouts_match_lift_steps(rule, monkeypatch):
                 want = lift_steps(rule, m, s)
                 assert evolve(rule, s, m) == want[-1]
                 layouts.clear()
+                runs.clear()
                 assert list(trajectory(rule, m, s)) == want
+                assert len(runs) <= 2 * len(layouts)
+                assert sum(runs) <= n
                 if s is starts[0] and m > 0:  # the seed grows every step
                     assert (len(layouts) > 1) == (n > room)
+                    assert len(runs) == 2 or n > room
+                    assert sum(runs) == n  # no step skips the kernel
+                    # a call runs for 3 steps or more, but on a short last
+                    # layout after the first
+                    assert min(runs[:-2] or runs) >= 3
 
 
 @pytest.mark.parametrize("n", [-37, 0, 1, 45])
