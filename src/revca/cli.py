@@ -89,27 +89,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sequence_columns(method: str, n_max: int) -> dict[str, list[int]]:
-    """All three sequences on 0..n_max by the requested method."""
-    if method == "recursive":  # build_table's checked rows, as columns
-        _, *cols = zip(*seq.build_table(n_max).rows)
-        return dict(zip(seq.SequenceTable.COLUMNS, map(list, cols)))
+def _sequence_rows(method: str, n_max: int) -> list[tuple[int, int, int, int]]:
+    """Rows (n, R, R1, R2) for n = 0..n_max by the requested method."""
+    if method == "recursive":  # build_table's checked rows
+        return seq.build_table(n_max).rows
     if method == "alt":  # one memo per column, shared by all of its rows
         r1 = list(map(seq._alt_terms(SeqId.R1), range(n_max + 1)))
         r2 = list(map(seq._alt_terms(SeqId.R2), range(n_max + 2)))
-        return {"R": [r2[n] + r2[n + 1] for n in range(n_max + 1)],
-                "R1": r1, "R2": r2[:n_max + 1]}
+        return [(n, r2[n] + r2[n + 1], r1[n], r2[n]) for n in range(n_max + 1)]
     if method == "sim":
-        counts = trajectory_counts(Rule.C2, n_max)
-        return {"R": [c.total for c in counts],
-                "R1": [c.r1 for c in counts],
-                "R2": [c.r2 for c in counts]}
+        return [(c.n, c.total, c.r1, c.r2)
+                for c in trajectory_counts(Rule.C2, n_max)]
     if method == "poly":  # one pair alive at a time: sizes only
-        sizes = [tuple(map(len, state_poly_at(Rule.C2, n)))
-                 for n in range(n_max + 1)]
-        return {"R": [a + b for a, b in sizes],
-                "R1": [a for a, _ in sizes], "R2": [b for _, b in sizes]}
+        sizes = (map(len, state_poly_at(Rule.C2, n)) for n in range(n_max + 1))
+        return [(n, a + b, a, b) for n, (a, b) in enumerate(sizes)]
     raise ValueError(f"unknown method {method!r}")
+
+
+def _sequence_columns(method: str, n_max: int) -> dict[str, list[int]]:
+    """All three sequences on 0..n_max by the requested method, as columns."""
+    _, *cols = zip(*_sequence_rows(method, n_max))
+    return dict(zip(seq.SequenceTable.COLUMNS, map(list, cols)))
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
@@ -122,19 +122,19 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     if n_max > _GREATEST_TABLE_MAX:
         raise ValueError(f"--max {n_max} is above {_GREATEST_TABLE_MAX}, the "
                          f"ceiling of the recursive and alt tables")
+    tables = {}  # each method's rows, built once
     if args.check:
-        ref = _sequence_columns("recursive", n_max)
+        ref = tables["recursive"] = _sequence_rows("recursive", n_max)
         for method in ("alt", "sim", "poly"):
-            cols = _sequence_columns(method, n_max)
-            for w in ("R", "R1", "R2"):
-                for n in range(n_max + 1):
-                    if cols[w][n] != ref[w][n]:
-                        print(f"mismatch: {w}({n}) recursive={ref[w][n]} "
-                              f"{method}={cols[w][n]}", file=sys.stderr)
+            rows = tables[method] = _sequence_rows(method, n_max)
+            for k, w in enumerate(seq.SequenceTable.COLUMNS, 1):
+                for want, got in zip(ref, rows):
+                    if got[k] != want[k]:
+                        print(f"mismatch: {w}({want[0]}) recursive={want[k]} "
+                              f"{method}={got[k]}", file=sys.stderr)
                         return 3
-    cols = _sequence_columns(args.method, n_max)
-    table = seq.SequenceTable(list(zip(range(n_max + 1), *(
-        cols[w] for w in seq.SequenceTable.COLUMNS))))
+    table = seq.SequenceTable(tables.get(args.method)
+                              or _sequence_rows(args.method, n_max))
     names = table.COLUMNS if args.which == "all" else [args.which]
     _write(args.out, json.dumps(table.to_json_obj(names), indent=2) + "\n"
            if args.format == "json" else table.to_csv(names))

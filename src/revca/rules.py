@@ -148,7 +148,7 @@ def second_order_inverse(rule: Rule, s: SecondOrderState,
 #: seed's box grown by |n| + 1, (2|n| + 3)^2 cells, spans more than
 #: MAX_PARSED_WINDOW
 MAX_SEED_STEPS = (math.isqrt(MAX_PARSED_WINDOW) - 3) // 2
-#: steps a walk takes at the least between two layouts of its planes
+#: steps a walk takes between two layouts of its planes
 _ROOM = 16
 
 
@@ -156,24 +156,28 @@ class _Planes:
     """The two newest states X_{k+1}, X_k of a walk X_{k+1} = f(X_k) + X_{k-1}
     on two compact bit-packed planes (rows along i, bits along j).
 
-    Index 0 is the newest plane, the current component.  Each plane keeps
-    a box in plane coordinates (r0, r1, c0, c1), half-open, that holds all
-    its cells, or None when it is empty, and the BinaryGrid it holds once
-    one has been handed out.  A step bounds its result by the two boxes
-    without reading a word, so boxes are loose: ``grid`` tightens one at
-    hand-out, and ``tally`` and ``off_lattice`` read them as they are.
+    Index 0 is the newest plane, the current component; each plane keeps
+    the BinaryGrid it holds once one has been handed out.  A layout
+    records ``span``, the union of both states' tight boxes in plane
+    coordinates (r0, r1, c0, c1), half-open, and sets ``age``, the steps
+    taken since, to 0.  f has radius one, so a state grows by at most one
+    cell a step and both planes lie in span grown by age: ``_box``
+    tightens that region at hand-out and at the next layout, and
+    ``tally`` and ``off_lattice`` read whole planes.
 
-    The planes span both boxes grown by ``pad = min(margin, _ROOM + 1)``
-    cells, and by up to 63 more columns so that words move whole.  f
-    reads two rows and one bit beyond the current box, so a step that
-    would read past the planes first tightens both boxes and lays the
-    planes out anew around them: at most once in pad - 1 steps, and never
-    in a walk of n <= _ROOM steps with ``margin = n + 1``.  The kernel runs
-    over whole plane rows, since f of an empty row is empty, so its views
-    are fixed for a layout: the first step after one binds one call per
-    plane role, both on one scratch buffer sized to the planes, and each
-    step runs one call; the calls swap along with the planes.  A walk
-    whose start state grown by ``margin`` spans more than
+    The planes span ``span`` grown by ``pad = min(margin, _ROOM + 1)``
+    cells, and by up to 63 more columns so that words move whole.  The
+    kernel writes all plane rows but the first and the last, and needs
+    the first and the last bit of each row it reads empty, so a step is
+    exact while f of the current state, in span grown by age + 1, keeps
+    off the planes' edge rows (the columns have at least the rows' room):
+    for age <= pad - 2.  The step at age pad - 1 lays the planes out anew
+    first: every _ROOM steps, and never in a walk of n <= _ROOM steps
+    with ``margin = n + 1``.  f of an empty row is empty, so the kernel's
+    views are fixed for a layout: the first step after one binds one call
+    per plane role, both on one scratch buffer sized to the planes, and
+    each step runs one call; the calls swap along with the planes.  A
+    walk whose start state grown by ``margin`` spans more than
     ``MAX_PARSED_WINDOW`` cells is refused before any plane is made.
     """
 
@@ -193,10 +197,10 @@ class _Planes:
     def _lay_out(self, parts: list) -> None:
         """Both planes anew over the union of the parts' boxes grown by pad.
         Part k is None or (words, i, j, box): plane k's cells are the set
-        bits of words in box, and bit 0 of words' row 0 is the cell (i, j).
-        Column j0 lies whole words from the first part's j, up to 63
-        columns further out than pad asks, so that part's words move
-        without a bit shift: on a new layout, both parts' words."""
+        bits of words in box, a tight box, and bit 0 of words' row 0 is the
+        cell (i, j).  Column j0 lies whole words from the first part's j,
+        up to 63 columns further out than pad asks, so that part's words
+        move without a bit shift: on a new layout, both parts' words."""
         self._calls: list[Callable[[], None]] = []  # and so their scratch
         parts_in = list(filter(None, parts))
         spans = [(i + r0, i + r1, j + c0, j + c1)
@@ -204,61 +208,47 @@ class _Planes:
         lo_i, hi_i, lo_j, hi_j = zip(*spans or [(0, 1, 0, 1)])
         i0, j0 = min(lo_i) - self.pad, min(lo_j) - self.pad
         j0 -= (j0 - (parts_in[0][2] if parts_in else j0)) % 64
-        shape = (max(hi_i) + self.pad - i0,
-                 -(-(max(hi_j) + self.pad - j0) // 64))
-        self.origin, self.planes, self.boxes = (i0, j0), [], []
+        self.span = (min(lo_i) - i0, max(hi_i) - i0,
+                     min(lo_j) - j0, max(hi_j) - j0)
+        shape = (self.span[1] + self.pad, -(-(self.span[3] + self.pad) // 64))
+        self.origin, self.planes, self.age = (i0, j0), [], 0
         for part in parts:
             self.planes.append(np.zeros(shape, _WORD))
-            self.boxes.append(None)
             if part:
                 w, i, j, (r0, r1, c0, c1) = part
                 wa = c0 >> 6
                 _xor_at(self.planes[-1], w[r0:r1, wa:((c1 - 1) >> 6) + 1],
                         i + r0 - i0, j + 64 * wa - j0)
-                self.boxes[-1] = (i + r0 - i0, i + r1 - i0,
-                                  j + c0 - j0, j + c1 - j0)
 
     def step(self, rule: Rule) -> None:
         """X_{k+2} = f(X_{k+1}) + X_k, written over X_k; then swap roles.
-        The rule is bound at the first step after each layout."""
-        # f reads two rows and one bit beyond the current box.  Boxes grow
-        # alike in rows and columns, and a layout leaves the columns at least
-        # the rows' room, so the rows run out first
-        box, rows = self.boxes[0], len(self.planes[0])
-        if box is not None and (box[0] < 2 or box[1] + 2 > rows):
+        The planes are laid out anew at age pad - 1, and the rule is bound
+        at the first step after each layout."""
+        if self.age == self.pad - 1:
             self._lay_out([(p, *self.origin, b) if b else None for p, b
-                           in zip(self.planes, map(self._tight, (0, 1)))])
-        if self.boxes[0] is not None:  # it may have emptied on tightening
-            if not self._calls:  # each plane's rows give f on the other's
-                tmp = np.empty(4 * self.planes[0].size, _WORD)  # inner rows
-                self._calls = [_rule_words(rule, a.ravel(), a.shape[1],
-                                           b[1:-1].ravel(), tmp)
-                               for a, b in (self.planes, self.planes[::-1])]
-            self._calls[0]()
-            r0, r1, c0, c1 = self.boxes[0]
-            # X_{k+2} lies in the box of X_k or that of X_{k+1} grown by one
-            b0, b1, d0, d1 = self.boxes[1] or (r0, r1, c0, c1)
-            self.boxes[1] = (min(r0 - 1, b0), max(r1 + 1, b1),
-                             min(c0 - 1, d0), max(c1 + 1, d1))
+                           in zip(self.planes, map(self._box, (0, 1)))])
+        if not self._calls:  # each plane's rows give f on the other's
+            tmp = np.empty(4 * self.planes[0].size, _WORD)  # inner rows
+            self._calls = [_rule_words(rule, a.ravel(), a.shape[1],
+                                       b[1:-1].ravel(), tmp)
+                           for a, b in (self.planes, self.planes[::-1])]
+        self._calls[0]()
+        self.age += 1
         self.planes.reverse()
-        self.boxes.reverse()
         self._calls.reverse()
         self.grids = [None, self.grids[0]]
 
-    def _tight(self, k: int) -> tuple[int, int, int, int] | None:
-        """Plane k's box, tightened in place."""
-        if self.boxes[k] is not None:
-            self.boxes[k] = _tight_box(self.planes[k], *self.boxes[k])
-        return self.boxes[k]
+    def _box(self, k: int) -> tuple[int, int, int, int] | None:
+        """Plane k's tight box, or None when it is empty: span grown by
+        age, which stays on the planes since age <= pad, tightened."""
+        a, (r0, r1, c0, c1) = self.age, self.span
+        return _tight_box(self.planes[k], r0 - a, r1 + a, c0 - a, c1 + a)
 
     def off_lattice(self, k: int, par: int, coset: bool) -> bool:
         """Whether plane k holds a cell off the checkerboard i + j = par
         mod 2, or, with ``coset``, off the coset i = j = par mod 2."""
-        if self.boxes[k] is None:
-            return False
-        (r0, r1, c0, c1), (i0, j0) = self.boxes[k], self.origin
-        words = self.planes[k][r0:r1, c0 >> 6:((c1 - 1) >> 6) + 1]
-        i = i0 + r0 + np.arange(r1 - r0)
+        words, (i0, j0) = self.planes[k], self.origin
+        i = i0 + np.arange(len(words))
         # bit c of a row i is column j0 + c: the checkerboard admits c = par +
         # j0 + i mod 2, the coset c = par + j0 mod 2 in rows i = par mod 2 only
         odd = (par + j0 + i * (not coset)) & 1
@@ -267,9 +257,9 @@ class _Planes:
 
     def grid(self, k: int) -> BinaryGrid:
         """Plane k as a BinaryGrid: a shifted copy of the words in its
-        tightened box, made once."""
+        tight box, made once."""
         if self.grids[k] is None:
-            self.grids[k] = _crop(self.planes[k], *self.origin, self._tight(k))
+            self.grids[k] = _crop(self.planes[k], *self.origin, self._box(k))
         return self.grids[k]
 
     def state(self) -> SecondOrderState:
@@ -278,11 +268,8 @@ class _Planes:
 
     def tally(self, n: int) -> CountRecord:
         """``count_values`` of the state, from popcounts of both planes and
-        of their overlap over the union of the two boxes."""
-        boxes = [b for b in self.boxes if b] or [(0, 0, 0, 0)]
-        r0, r1, c0, c1 = zip(*boxes)
-        new, old = (p[min(r0):max(r1), min(c0) >> 6:((max(c1) - 1) >> 6) + 1]
-                    for p in self.planes)
+        of their overlap."""
+        new, old = self.planes
         both = _popcount(new & old)
         a, b = _popcount(new) - both, _popcount(old) - both
         return CountRecord(n, a, b, both, a + b + both)

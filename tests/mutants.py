@@ -127,6 +127,37 @@ MUTANTS = [
            ",\n                    (np.bitwise_or, mask, west[:-r], mask),\n"
            "                    (np.bitwise_or, mask, west[r:], mask)]", "]",
            "test_rules.py"),
+    Mutant("the planes laid out anew one step late", "revca/rules.py",
+           "        if self.age == self.pad - 1:\n",
+           "        if self.age == self.pad:\n", "test_rules.py"),
+    Mutant("a walk whose age never advances", "revca/rules.py",
+           "        self.age += 1\n", "", "test_rules.py"),
+    Mutant("a plane's box not grown by the walk's age", "revca/rules.py",
+           "self.planes[k], r0 - a, r1 + a, c0 - a, c1 + a)",
+           "self.planes[k], r0, r1, c0, c1)", "test_rules.py"),
+    Mutant("grid(k) cropping the grown span untightened", "revca/rules.py",
+           "_crop(self.planes[k], *self.origin, self._box(k))",
+           "_crop(self.planes[k], *self.origin, self._box(k) and tuple(\n"
+           "                e + self.age * d for e, d in\n"
+           "                zip(self.span, (-1, 1, -1, 1))))",
+           "test_rules.py"),
+    Mutant("the layout's column origin off by one", "revca/rules.py",
+           "self.origin, self.planes, self.age = (i0, j0), [], 0",
+           "self.origin, self.planes, self.age = (i0, j0 + 1), [], 0",
+           "test_rules.py"),
+    # pad - 1 columns on the left still keep the first and the last bit of
+    # every row empty through age pad - 2, so only planes of pad 0, which
+    # a substitute step_fn's walk makes, can show this one.  Its twin, j0
+    # one column further out, changes no output: the alignment to the
+    # first part's words undoes it or leaves one more word
+    Mutant("the layout's column room cut by one on the left",
+           "revca/rules.py", "min(lo_j) - self.pad\n",
+           "min(lo_j) - self.pad + 1\n", "test_rules.py"),
+    Mutant("the layout's column room cut by one word", "revca/rules.py",
+           "-(-(self.span[3] + self.pad) // 64))",
+           "-(-(self.span[3] + self.pad) // 64) - 1)", "test_rules.py"),
+    Mutant("_tight_box's bottom row off by one", "revca/grid.py",
+           "r0 + int(live[-1]) + 1", "r0 + int(live[-1])", "test_rules.py"),
 ]
 
 # the harness's own negative control: no test reads a docstring

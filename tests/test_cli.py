@@ -307,17 +307,17 @@ def test_sequence_size_guard_exit_2(capsys, argv):
     assert err.startswith("error:") and "8190" in err
 
 
-class _ColumnsBuilt(Exception):
+class _RowsBuilt(Exception):
     pass
 
 
 @pytest.mark.parametrize("method", ["recursive", "alt"])
 def test_table_ceiling_exit_2(capsys, monkeypatch, method):
-    def columns(*args):
-        raise _ColumnsBuilt
+    def rows(*args):
+        raise _RowsBuilt
 
-    monkeypatch.setattr(cli, "_sequence_columns", columns)
-    with pytest.raises(_ColumnsBuilt):  # the ceiling itself is allowed
+    monkeypatch.setattr(cli, "_sequence_rows", rows)
+    with pytest.raises(_RowsBuilt):  # the ceiling itself is allowed
         main(["sequence", "--method", method,
               "--max", str(_GREATEST_TABLE_MAX)])
     code, out, err = run(capsys, "sequence", "--method", method,

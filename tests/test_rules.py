@@ -182,6 +182,10 @@ def test_walks_across_layouts_match_lift_steps(rule, monkeypatch):
                 assert list(trajectory(rule, m, s)) == want
                 assert len(runs) <= 2 * len(layouts)
                 assert sum(runs) <= n
+                # a layout lasts _ROOM steps, and no step skips the kernel
+                assert len(layouts) == 1 + (n - 1) // room
+                assert len(runs) == 2 * len(layouts)
+                assert sum(runs) == n
                 if s is starts[0] and m > 0:  # the seed grows every step
                     assert (len(layouts) > 1) == (n > room)
                     assert len(runs) == 2 or n > room
