@@ -106,12 +106,6 @@ def _sequence_rows(method: str, n_max: int) -> list[tuple[int, int, int, int]]:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _sequence_columns(method: str, n_max: int) -> dict[str, list[int]]:
-    """All three sequences on 0..n_max by the requested method, as columns."""
-    _, *cols = zip(*_sequence_rows(method, n_max))
-    return dict(zip(seq.SequenceTable.COLUMNS, map(list, cols)))
-
-
 def cmd_sequence(args: argparse.Namespace) -> int:
     n_max = args.max
     if n_max < 0:

@@ -205,7 +205,7 @@ class BinaryGrid:
         return hash((self._imin, self._jmin, self._ncols, self._w.tobytes()))
 
     def __repr__(self) -> str:
-        return f"BinaryGrid({sorted(self.cells())!r})"
+        return f"BinaryGrid({list(self)!r})"
 
 
 EMPTY = BinaryGrid()
@@ -405,8 +405,8 @@ def _to_text(g: BinaryGrid, tag: str, key: str) -> str:
     return "".join(out)
 
 
-#: largest bounding box, in cells, that a parsed block or a walk plane may
-#: span: 2^28 cells are 32 MiB of words
+#: largest bounding box, in cells, of a parsed block, or of a walk's start
+#: box grown by its reach: 2^28 cells are 32 MiB of words
 MAX_PARSED_WINDOW = 1 << 28
 
 

@@ -148,7 +148,8 @@ def second_order_inverse(rule: Rule, s: SecondOrderState,
 #: seed's box grown by |n| + 1, (2|n| + 3)^2 cells, spans more than
 #: MAX_PARSED_WINDOW
 MAX_SEED_STEPS = (math.isqrt(MAX_PARSED_WINDOW) - 3) // 2
-#: steps a walk takes between two layouts of its planes
+#: steps a walk takes between two layouts of its planes, whose room is
+#: _ROOM + 1 cells
 _ROOM = 16
 
 
@@ -165,52 +166,49 @@ class _Planes:
     tightens that region at hand-out and at the next layout, and
     ``tally`` and ``off_lattice`` read whole planes.
 
-    The planes span ``span`` grown by ``pad = min(margin, _ROOM + 1)``
-    cells, and by up to 63 more columns so that words move whole.  The
-    kernel writes all plane rows but the first and the last, and needs
-    the first and the last bit of each row it reads empty, so a step is
-    exact while f of the current state, in span grown by age + 1, keeps
-    off the planes' edge rows (the columns have at least the rows' room):
-    for age <= pad - 2.  The step at age pad - 1 lays the planes out anew
-    first: every _ROOM steps, and never in a walk of n <= _ROOM steps
-    with ``margin = n + 1``.  f of an empty row is empty, so the kernel's
-    views are fixed for a layout: the first step after one binds one call
-    per plane role, both on one scratch buffer sized to the planes, and
-    each step runs one call; the calls swap along with the planes.  A
-    walk whose start state grown by ``margin`` spans more than
-    ``MAX_PARSED_WINDOW`` cells is refused before any plane is made.
+    Every layout spans ``span`` grown by a room of _ROOM + 1 cells, and by
+    up to 63 more columns so that words move whole.  The kernel writes all
+    plane rows but the first and the last, and needs the first and the
+    last bit of each row it reads empty, so a step is exact while f of the
+    current state, in span grown by age + 1, keeps off the planes' edge
+    rows (the columns have at least the rows' room): for age < _ROOM.
+    The step at age _ROOM lays the planes out anew first.  f of an empty
+    row is empty, so the kernel's views are fixed for a layout: the first
+    step after one binds one call per plane role, both on one scratch
+    buffer sized to the planes, and each step runs one call; the calls
+    swap along with the planes.
     """
 
-    def __init__(self, s: SecondOrderState, margin: int):
+    def __init__(self, s: SecondOrderState, reach: int = 0):
         self.grids: list[BinaryGrid | None] = [s.current, s.previous]
-        boxes = [g.bounds() for g in self.grids if g] or [(0, 0, 0, 0)]
-        lo_i, hi_i, lo_j, hi_j = zip(*boxes)
-        i0, j0 = min(lo_i) - margin, min(lo_j) - margin
-        rows, cols = max(hi_i) + margin + 1 - i0, max(hi_j) + margin + 1 - j0
-        if rows * cols > MAX_PARSED_WINDOW:
-            raise ValueError(f"a walk plane of {rows} x {cols} cells spans "
-                             f"more than {MAX_PARSED_WINDOW} cells")
-        self.pad = min(margin, _ROOM + 1)
         self._lay_out([(g._w, *g.origin, (0, len(g._w), 0, g._ncols))
-                       if g else None for g in self.grids])
+                       if g else None for g in self.grids], reach)
 
-    def _lay_out(self, parts: list) -> None:
-        """Both planes anew over the union of the parts' boxes grown by pad.
+    def _lay_out(self, parts: list, reach: int = 0) -> None:
+        """Both planes anew over the union of the parts' boxes grown by the
+        room, refused with ValueError before any plane is made when that
+        union grown by ``reach`` spans more than ``MAX_PARSED_WINDOW`` cells.
         Part k is None or (words, i, j, box): plane k's cells are the set
         bits of words in box, a tight box, and bit 0 of words' row 0 is the
         cell (i, j).  Column j0 lies whole words from the first part's j,
-        up to 63 columns further out than pad asks, so that part's words
-        move without a bit shift: on a new layout, both parts' words."""
+        up to 63 columns further out than the room asks, so that part's
+        words move without a bit shift: on a new layout, both parts' words."""
         self._calls: list[Callable[[], None]] = []  # and so their scratch
         parts_in = list(filter(None, parts))
         spans = [(i + r0, i + r1, j + c0, j + c1)
                  for _, i, j, (r0, r1, c0, c1) in parts_in]
         lo_i, hi_i, lo_j, hi_j = zip(*spans or [(0, 1, 0, 1)])
-        i0, j0 = min(lo_i) - self.pad, min(lo_j) - self.pad
+        rows = max(hi_i) - min(lo_i) + 2 * reach
+        cols = max(hi_j) - min(lo_j) + 2 * reach
+        if rows * cols > MAX_PARSED_WINDOW:
+            raise ValueError(f"a walk plane of {rows} x {cols} cells spans "
+                             f"more than {MAX_PARSED_WINDOW} cells")
+        room = _ROOM + 1
+        i0, j0 = min(lo_i) - room, min(lo_j) - room
         j0 -= (j0 - (parts_in[0][2] if parts_in else j0)) % 64
         self.span = (min(lo_i) - i0, max(hi_i) - i0,
                      min(lo_j) - j0, max(hi_j) - j0)
-        shape = (self.span[1] + self.pad, -(-(self.span[3] + self.pad) // 64))
+        shape = (self.span[1] + room, -(-(self.span[3] + room) // 64))
         self.origin, self.planes, self.age = (i0, j0), [], 0
         for part in parts:
             self.planes.append(np.zeros(shape, _WORD))
@@ -222,9 +220,9 @@ class _Planes:
 
     def step(self, rule: Rule) -> None:
         """X_{k+2} = f(X_{k+1}) + X_k, written over X_k; then swap roles.
-        The planes are laid out anew at age pad - 1, and the rule is bound
+        The planes are laid out anew at age _ROOM, and the rule is bound
         at the first step after each layout."""
-        if self.age == self.pad - 1:
+        if self.age == _ROOM:
             self._lay_out([(p, *self.origin, b) if b else None for p, b
                            in zip(self.planes, map(self._box, (0, 1)))])
         if not self._calls:  # each plane's rows give f on the other's
@@ -240,7 +238,7 @@ class _Planes:
 
     def _box(self, k: int) -> tuple[int, int, int, int] | None:
         """Plane k's tight box, or None when it is empty: span grown by
-        age, which stays on the planes since age <= pad, tightened."""
+        age, which stays on the planes since age <= _ROOM, tightened."""
         a, (r0, r1, c0, c1) = self.age, self.span
         return _tight_box(self.planes[k], r0 - a, r1 + a, c0 - a, c1 + a)
 
@@ -279,6 +277,8 @@ def _walk(rule: Rule, n: int, s: SecondOrderState,
           step_fn: StepFn) -> Iterator[_Planes]:
     """The one stepping loop: yields the walk's planes at steps 0..n, n >= 0.
 
+    Its start's planes take reach n + 1, whatever the ``step_fn``, and the
+    own walk's later layouts lie within that reach, so they take none.
     With the rule's own ``first_order_step`` one ``_Planes`` is stepped in
     place, so a consumer reads it (``state``, ``tally``, ``off_lattice``)
     before it asks for the next step.  A substitute ``step_fn`` may move
@@ -287,14 +287,13 @@ def _walk(rule: Rule, n: int, s: SecondOrderState,
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    own = step_fn is first_order_step
-    planes = _Planes(s, n + 1 if own else 0)
+    planes = _Planes(s, n + 1)
     yield planes
     for _ in range(n):
-        if own:
+        if step_fn is first_order_step:
             planes.step(rule)
         else:
-            planes = _Planes(second_order_step(rule, planes.state(), step_fn), 0)
+            planes = _Planes(second_order_step(rule, planes.state(), step_fn))
         yield planes
 
 
@@ -305,8 +304,8 @@ def trajectory(rule: Rule, n: int, s: SecondOrderState | None = None,
     Steps go forward for n >= 0, in ``_walk``, and backward for n < 0 by
     F^-1 = X F X: the forward walk of the swapped state, swapped back.
     Each yielded state holds one newly copied grid; its other grid is
-    the one yielded a step before.  Raises ValueError when a plane of the
-    rule's own walk would span more than ``MAX_PARSED_WINDOW`` cells.
+    the one yielded a step before.  Raises ValueError when the start's box
+    grown by |n| + 1 spans more than ``MAX_PARSED_WINDOW`` cells.
     """
     s = single_seed() if s is None else s
     if n < 0:

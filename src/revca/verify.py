@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 from . import sequences as seq
 from .gf2poly import state_poly_at, transition_poly
 from .grid import (BinaryGrid, SecondOrderState, diagonal_extract,
-                   single_seed, swap_x)
+                   single_seed, swap_x, xor)
 from .rules import (MAX_SEED_STEPS, Rule, StepFn, _walk, evolve,
                     first_order_step, second_order_step, trajectory,
                     trajectory_counts)
@@ -80,8 +80,8 @@ def _suite(var: str, least: int, default: int, greatest: int):
 
 
 def _state_diff(a: SecondOrderState, b: SecondOrderState, limit: int = 8) -> str:
-    dc = sorted(a.current.cells() ^ b.current.cells())[:limit]
-    dp = sorted(a.previous.cells() ^ b.previous.cells())[:limit]
+    dc = list(islice(xor(a.current, b.current), limit))
+    dp = list(islice(xor(a.previous, b.previous), limit))
     return f"current diff {dc}, previous diff {dp}"
 
 

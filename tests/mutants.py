@@ -10,9 +10,11 @@ module).  For each one the script copies src/ to a temporary directory,
 makes the edit there and runs ``pytest -x -q`` on the test module with the
 copy first on PYTHONPATH; the mutant is killed when pytest fails.  Text
 that is not found exactly once in its file stops the run (exit 2), so a
-refactor cannot retire a mutant silently.  Before any mutant, each named
-module must pass on an unmutated copy.  Standard library only; pytest does
-not collect this file.
+refactor cannot retire a mutant silently.  The mutants in ``EQUIVALENT``
+change nothing a test can observe: each is listed with its reason and its
+text is checked the same way, but none is run.  Before any mutant, each named module must
+pass on an unmutated copy.  Standard library only; pytest does not
+collect this file.
 """
 
 from __future__ import annotations
@@ -128,8 +130,8 @@ MUTANTS = [
            "                    (np.bitwise_or, mask, west[r:], mask)]", "]",
            "test_rules.py"),
     Mutant("the planes laid out anew one step late", "revca/rules.py",
-           "        if self.age == self.pad - 1:\n",
-           "        if self.age == self.pad:\n", "test_rules.py"),
+           "        if self.age == _ROOM:\n",
+           "        if self.age == _ROOM + 1:\n", "test_rules.py"),
     Mutant("a walk whose age never advances", "revca/rules.py",
            "        self.age += 1\n", "", "test_rules.py"),
     Mutant("a plane's box not grown by the walk's age", "revca/rules.py",
@@ -145,19 +147,44 @@ MUTANTS = [
            "self.origin, self.planes, self.age = (i0, j0), [], 0",
            "self.origin, self.planes, self.age = (i0, j0 + 1), [], 0",
            "test_rules.py"),
-    # pad - 1 columns on the left still keep the first and the last bit of
-    # every row empty through age pad - 2, so only planes of pad 0, which
-    # a substitute step_fn's walk makes, can show this one.  Its twin, j0
-    # one column further out, changes no output: the alignment to the
-    # first part's words undoes it or leaves one more word
-    Mutant("the layout's column room cut by one on the left",
-           "revca/rules.py", "min(lo_j) - self.pad\n",
-           "min(lo_j) - self.pad + 1\n", "test_rules.py"),
+    Mutant("a layout's row room cut by one", "revca/rules.py",
+           "min(lo_i) - room,", "min(lo_i) - room + 1,", "test_rules.py"),
     Mutant("the layout's column room cut by one word", "revca/rules.py",
-           "-(-(self.span[3] + self.pad) // 64))",
-           "-(-(self.span[3] + self.pad) // 64) - 1)", "test_rules.py"),
+           "-(-(self.span[3] + room) // 64))",
+           "-(-(self.span[3] + room) // 64) - 1)", "test_rules.py"),
     Mutant("_tight_box's bottom row off by one", "revca/grid.py",
            "r0 + int(live[-1]) + 1", "r0 + int(live[-1])", "test_rules.py"),
+    Mutant("the render value window clipped one row short",
+           "revca/render.py", "min(jmax, n)", "min(jmax, n - 1)",
+           "test_render.py"),
+    Mutant("the render value window clipped one column short",
+           "revca/render.py", "min(imax, n)", "min(imax, n - 1)",
+           "test_render.py"),
+    Mutant("render's last row block dropped", "revca/render.py",
+           "range(0, h, rows)", "range(0, h - 1, rows)", "test_render.py"),
+    Mutant("_to_text's row block one row short", "revca/grid.py",
+           "g._w[r0:r0 + step]", "g._w[r0:r0 + step - 1]", "test_grid.py"),
+    # equal outputs: only the writer's memory bound can kill it
+    Mutant("the writer decodes the whole grid at once", "revca/grid.py",
+           "step = max(1, 4096 // max(g._w.shape[1], 1))",
+           "step = max(1, len(g._w))", "test_grid.py"),
+]
+
+# Equivalent mutants, each with the reason that it changes nothing a test
+# can observe: none is run, but each one's text is checked as a mutant's
+# is, so a refactor cannot retire it silently
+EQUIVALENT = [
+    (Mutant("the layout's column room cut by one on the left",
+            "revca/rules.py", "min(lo_j) - room\n",
+            "min(lo_j) - room + 1\n", "test_rules.py"),
+     "_ROOM columns keep bit 0 of every row empty through age _ROOM - 1, "
+     "the last step of a layout; only the rows need _ROOM + 1, because "
+     "the kernel writes inner rows only"),
+    (Mutant("the layout's column room grown by one on the left",
+            "revca/rules.py", "min(lo_j) - room\n",
+            "min(lo_j) - room - 1\n", "test_rules.py"),
+     "the alignment to the first part's words undoes it or leaves one more "
+     "word"),
 ]
 
 # the harness's own negative control: no test reads a docstring
@@ -165,6 +192,15 @@ SELFTEST = Mutant("docstring-only edit", "revca/sequences.py",
                   '"""Sequence term by the binary ladder.',
                   '"""Sequence term by the binary ladder, mutated.',
                   "test_sequences.py")
+
+
+def _mutated(text: str, edit: Mutant) -> str:
+    """``text`` with the edit made; LookupError unless its text is found
+    exactly once."""
+    if text.count(edit.old) != 1:
+        raise LookupError(f"mutant {edit.name!r}: its text is not found "
+                          f"exactly once in src/{edit.file}")
+    return text.replace(edit.old, edit.new)
 
 
 def _fails(module: str, edit: Mutant | None) -> bool:
@@ -176,11 +212,7 @@ def _fails(module: str, edit: Mutant | None) -> bool:
                                                       "*.egg-info"))
         if edit is not None:
             path = src / edit.file
-            text = path.read_text()
-            if text.count(edit.old) != 1:
-                raise LookupError(f"mutant {edit.name!r}: its text is not "
-                                  f"found exactly once in src/{edit.file}")
-            path.write_text(text.replace(edit.old, edit.new))
+            path.write_text(_mutated(path.read_text(), edit))
         env = dict(os.environ, PYTHONPATH=str(src),
                    PYTHONDONTWRITEBYTECODE="1")
         if edit is None:  # an installed revca must not shadow the copy
@@ -235,6 +267,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.selftest:
         return selftest()
     try:
+        for m, why in EQUIVALENT:
+            _mutated((ROOT / "src" / m.file).read_text(), m)
+            print(f"equivalent {m.name} (src/{m.file}): {why}")
         alive = survivors(MUTANTS)
     except LookupError as e:
         print(f"error: {e}", file=sys.stderr)

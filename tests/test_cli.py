@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revca import cli, rules, sequences, verify
-from revca.cli import (_GREATEST_TABLE_MAX, _sequence_columns, main,
+from revca.cli import (_GREATEST_TABLE_MAX, _sequence_rows, main,
                        state_from_text, state_to_text)
 from revca.gf2poly import state_poly_at
 from revca.grid import count_values, single_seed
@@ -133,11 +133,11 @@ def test_poly_columns_keep_one_pair_alive():
     del pair
     tracemalloc.start()
     try:
-        cols = _sequence_columns("poly", 200)
+        rows = _sequence_rows("poly", 200)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cols == _sequence_columns("recursive", 200)
+    assert rows == _sequence_rows("recursive", 200)
     assert peak < 2 * pair_bytes
 
 

@@ -10,7 +10,7 @@ from revca.gf2poly import (ONE, ZERO, IndexOutOfRangeError, LaurentPoly2,
                            lucas_poly_eval, poly_from_text, poly_to_grid,
                            poly_to_text, state_poly_at, transition_poly)
 from revca.grid import BinaryGrid, count_values, single_seed
-from revca.rules import Rule, evolve, first_order_step
+from revca.rules import Rule, first_order_step
 
 X = LaurentPoly2([(1, 0)])
 XR = LaurentPoly2([(-1, 0), (1, 0)])  # x^-1 + x

@@ -153,9 +153,9 @@ def test_walks_across_layouts_match_lift_steps(rule, monkeypatch):
     layouts, lay_out = [], rules._Planes._lay_out
     runs, bind = [], rules._rule_words
 
-    def counted(planes, parts):
+    def counted(planes, parts, reach=0):
         layouts.append(parts)
-        lay_out(planes, parts)
+        lay_out(planes, parts, reach)
 
     def counted_bind(*args):
         call, k = bind(*args), len(runs)
@@ -279,6 +279,26 @@ def test_walk_refuses_negative_steps():
         next(_walk(Rule.C1, -1, single_seed(), first_order_step))
     with pytest.raises(ValueError, match="nonnegative"):
         trajectory_counts(Rule.C1, -1)
+
+
+@pytest.mark.parametrize("step_fn", [first_order_step, dense_step])
+def test_walks_are_refused_by_one_guard(step_fn):
+    # the start's box grown by the walk's reach, for a substitute rule too
+    with pytest.raises(ValueError, match=r"^a walk plane of 16385 x 16385 "
+                       r"cells spans more than 268435456 cells$"):
+        next(_walk(Rule.C2, rules.MAX_SEED_STEPS + 1, single_seed(), step_fn))
+
+
+@pytest.mark.parametrize("n, step_fn", [(1, first_order_step),
+                                        (16, first_order_step),
+                                        (40, first_order_step),
+                                        (16, dense_step)])
+def test_every_layout_has_the_same_room(n, step_fn):
+    room = rules._ROOM + 1
+    for planes in _walk(Rule.C3p, n, WIDE, step_fn):
+        (r0, r1, c0, c1), (rows, words) = planes.span, planes.planes[0].shape
+        assert (r0, rows - r1) == (room, room)
+        assert room <= c0 < room + 64 and 64 * words - c1 >= room
 
 
 def test_popcount_fallback_matches_bitwise_count(monkeypatch):
