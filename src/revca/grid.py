@@ -132,8 +132,15 @@ class BinaryGrid:
         return xor(self, other)
 
     def __mul__(self, other: "BinaryGrid") -> "BinaryGrid":
-        """Mod-2 product: the larger factor's words xored in at each term of
-        the smaller one, read off its nonzero words.
+        """Mod-2 product: the factor with more terms, laid out flat in rows
+        of the product's width, is shifted once for each bit column of the
+        other factor's terms and xored in at each of that column's rows.
+
+        A shift to column 64 q + s moves the flat words by q and their bits
+        by s, each word carrying its top s bits into the next.  Every
+        shifted row still fits the product's width, so no bit crosses into
+        the next row, and the copy's last q words, which would pass the
+        product's end, are 0 and dropped.
 
         GF(2)[x^±1, y^±1] has no zero divisors, so each extreme row and
         column of the product is a product of nonzero extreme rows or
@@ -143,16 +150,29 @@ class BinaryGrid:
         if not small:
             return small
         ncols = small._ncols + big._ncols - 1
-        out = np.zeros((len(small._w) + len(big._w) - 1, _nwords(ncols)),
-                       _WORD)
-        rr, ww = np.nonzero(small._w)
+        n = _nwords(ncols)
+        out = np.zeros((len(small._w) + len(big._w) - 1) * n, _WORD)
+        b = np.zeros((len(big._w), n), _WORD)
+        b[:, :big._w.shape[1]] = big._w
+        b = b.ravel()
+        terms, (rr, ww) = [], np.nonzero(small._w)
         for r, w, v in zip(rr.tolist(), ww.tolist(),
                            small._w[rr, ww].tolist()):
             while v:
                 low = v & -v
-                _xor_at(out, big._w, r, 64 * w + low.bit_length() - 1)
+                terms.append((64 * w + low.bit_length() - 1, r))
                 v ^= low
-        return BinaryGrid._tight(out, small._imin + big._imin,
+        last = -1
+        for c, r in sorted(terms):
+            if c != last:  # a new column: one copy for all its rows
+                q, s, last = c >> 6, c & 63, c
+                t = b[:len(b) - q]
+                if s:
+                    t = t << np.uint64(s)
+                    t[1:] |= b[:len(t) - 1] >> np.uint64(64 - s)
+            o = r * n + q
+            out[o:o + len(t)] ^= t
+        return BinaryGrid._tight(out.reshape(-1, n), small._imin + big._imin,
                                  small._jmin + big._jmin, ncols)
 
     def square(self) -> "BinaryGrid":
@@ -161,14 +181,15 @@ class BinaryGrid:
 
     def pow_2k(self, k: int) -> "BinaryGrid":
         """p^(2^k): k times each word's bits spread over two words (bit b
-        to bit 2b), the rows written 2^k apart, the origin times 2^k."""
+        to bit 2b, one ``take`` from a byte table), the rows written 2^k
+        apart, the origin times 2^k."""
         if k < 0:
             raise ValueError("k must be nonnegative")
         if not self:
             return self
         d, words = 1 << k, self._w
         for _ in range(k):
-            words = _SPREAD[words.view(np.uint8)].view(_WORD)
+            words = _SPREAD.take(words.view(np.uint8)).view(_WORD)
         ncols = (self._ncols - 1) * d + 1
         out = np.zeros(((len(words) - 1) * d + 1, _nwords(ncols)), _WORD)
         out[::d] = words[:, :out.shape[1]]
@@ -213,10 +234,11 @@ EMPTY = BinaryGrid()
 
 def _set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows, bit columns) of the set bits of a C-contiguous word array, as
-    int64 arrays in row-major order; only the nonzero words are unpacked."""
+    int64 arrays in row-major order; only the nonzero words are unpacked,
+    and their bits are scanned as bools."""
     at = np.flatnonzero(words)
     bit = np.flatnonzero(np.unpackbits(words.ravel()[at].view(np.uint8),
-                                       bitorder="little"))
+                                       bitorder="little").view(bool))
     row, word = np.divmod(at, words.shape[1])
     k = bit >> 6  # the nonzero word that holds each bit
     return row[k], 64 * word[k] + (bit & 63)
@@ -386,18 +408,25 @@ def count_values(s: SecondOrderState, n: int = 0) -> CountRecord:
 # '#bgrid v1 count=N' and '#lpoly v1 terms=N' share one layout: the header,
 # then one 'i j' line per cell in sorted order.  The writer formats one
 # ' j\n' label per occupied column and one str(i) per occupied row, and
-# writes a row as str(i).join over its cells' labels.  Coordinates are the
-# Python-int origin plus an offset, so they stay exact past int64.  Cells
-# are decoded in blocks of ~4096 words: a dense grid's cell arrays stay small.
+# writes a row as str(i).join over its cells' labels.  The labels sit in a
+# table of 64 slots per nonzero word of the rows' union, so a cell finds
+# its label by its word's rank among those words and its bit, with no
+# search.  Coordinates are the Python-int origin plus an offset, so they
+# stay exact past int64.  Cells are decoded in blocks of ~4096 words: a
+# dense grid's cell arrays stay small.
 
 def _to_text(g: BinaryGrid, tag: str, key: str) -> str:
-    cols = _set_bits(np.bitwise_or.reduce(g._w, axis=0, keepdims=True))[1]
-    labels = np.array([f" {g._jmin + c}\n" for c in cols.tolist()], object)
+    union = np.bitwise_or.reduce(g._w, axis=0)
+    rank = np.cumsum(union != 0) - 1
+    cols = _set_bits(union[None])[1]
+    labels = np.empty(64 * np.count_nonzero(union), object)
+    labels[64 * rank[cols >> 6] + (cols & 63)] = [f" {g._jmin + c}\n"
+                                                  for c in cols.tolist()]
     out = [f"{tag} v1 {key}={len(g)}\n"]
     step = max(1, 4096 // max(g._w.shape[1], 1))
     for r0 in range(0, len(g._w), step):
         rr, cc = _set_bits(g._w[r0:r0 + step])
-        block = labels[np.searchsorted(cols, cc)].tolist()
+        block = labels[64 * rank[cc >> 6] + (cc & 63)].tolist()
         starts = np.flatnonzero(np.diff(rr, prepend=-1)).tolist()
         for r, s, e in zip(rr[starts].tolist(), starts, starts[1:] + [len(rr)]):
             i = str(g._imin + r0 + r)

@@ -152,6 +152,16 @@ MUTANTS = [
     Mutant("the layout's column room cut by one word", "revca/rules.py",
            "-(-(self.span[3] + room) // 64))",
            "-(-(self.span[3] + room) // 64) - 1)", "test_rules.py"),
+    Mutant("a product's shifted copy without its carry words",
+           "revca/grid.py",
+           "                    t[1:] |= b[:len(t) - 1] >> np.uint64(64 - s)\n",
+           "", "test_poly.py"),
+    Mutant("a product's carry read from the next word", "revca/grid.py",
+           "t[1:] |= b[:len(t) - 1]", "t[1:] |= b[1:len(t)]", "test_poly.py"),
+    Mutant("a product's row offset one word short", "revca/grid.py",
+           "o = r * n + q", "o = r * (n - 1) + q", "test_poly.py"),
+    Mutant("a product's first shifted copy reused for every column",
+           "revca/grid.py", "if c != last:", "if last < 0:", "test_poly.py"),
     Mutant("_tight_box's bottom row off by one", "revca/grid.py",
            "r0 + int(live[-1]) + 1", "r0 + int(live[-1])", "test_rules.py"),
     Mutant("the render value window clipped one row short",
@@ -162,6 +172,9 @@ MUTANTS = [
            "test_render.py"),
     Mutant("render's last row block dropped", "revca/render.py",
            "range(0, h, rows)", "range(0, h - 1, rows)", "test_render.py"),
+    Mutant("the writer's label table ranking every word of the union",
+           "revca/grid.py", "rank = np.cumsum(union != 0) - 1",
+           "rank = np.arange(len(union))", "test_grid.py"),
     Mutant("_to_text's row block one row short", "revca/grid.py",
            "g._w[r0:r0 + step]", "g._w[r0:r0 + step - 1]", "test_grid.py"),
     # equal outputs: only the writer's memory bound can kill it
@@ -185,6 +198,26 @@ EQUIVALENT = [
             "min(lo_j) - room - 1\n", "test_rules.py"),
      "the alignment to the first part's words undoes it or leaves one more "
      "word"),
+    # perf-only variants: the same outputs, timed in one process that
+    # alternates fresh imports of both trees (medians of 8-10 rounds)
+    (Mutant("a product's outer factor chosen by word count",
+            "revca/grid.py", "sorted((self, other), key=len)",
+            "sorted((self, other), key=lambda g: g._w.size)", "test_poly.py"),
+     "the same products, but verify.run_all() took 615 -> 756 ms (+23 %): "
+     "_copies then loops over a dense pattern's terms against the wide, "
+     "4-term T^(2^k)"),
+    (Mutant("pow_2k spreading bytes by fancy indexing", "revca/grid.py",
+            "_SPREAD.take(words.view(np.uint8))",
+            "_SPREAD[words.view(np.uint8)]", "test_poly.py"),
+     "the same squares, but the square of the C2 state at n=350 took "
+     "72 -> 170 us, and state_poly_at with poly_to_text at n=64..767 "
+     "(step 15) 88 -> 95 ms"),
+    (Mutant("_set_bits scanning unpacked bits as uint8", "revca/grid.py",
+            'bitorder="little").view(bool))', 'bitorder="little"))',
+            "test_grid.py"),
+     "the same cells, but _set_bits of the C2 state at n=700 took "
+     "246 -> 576 us, and state_poly_at with poly_to_text at n=64..767 "
+     "(step 15) 87 -> 99 ms"),
 ]
 
 # the harness's own negative control: no test reads a docstring

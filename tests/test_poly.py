@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from revca.gf2poly import (ONE, ZERO, IndexOutOfRangeError, LaurentPoly2,
@@ -71,6 +71,13 @@ def test_freshmans_dream(p, q):
     assert (p + q).square() == p.square() + q.square()
 
 
+# T^8 has fewer terms than a dense 5x5 pattern but more words; a factor
+# whose columns end at bit 63 of a word makes the product's rows one word
+# wider, filled by the carries of the shifted copies
+@example(transition_poly(Rule.C1).pow_2k(3),
+         LaurentPoly2((i, j) for i in range(5) for j in range(5)), 0)
+@example(LaurentPoly2([(0, 0), (1, 7), (0, 63), (2, 40), (1, 63)]),
+         LaurentPoly2([(0, 0), (0, 1), (1, 5)]), 1)
 @given(st.one_of(polys, strips, wide), st.one_of(polys, strips, wide),
        st.integers(0, 3))
 def test_products_match_sparse_oracle(p, q, k):
