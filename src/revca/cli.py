@@ -46,9 +46,10 @@ def state_to_text(s: SecondOrderState) -> str:
 
 
 def state_from_text(text: str) -> SecondOrderState:
-    """The two blocks of a state file; each '#bgrid' line starts one."""
+    """The two blocks of a state file; each '#bgrid' line starts one, and
+    blank lines are skipped, as the block parser skips them."""
     blocks: list[list[str]] = []
-    for ln in text.splitlines():
+    for ln in filter(str.strip, text.splitlines()):
         if ln.startswith("#bgrid") or not blocks:
             blocks.append([])
         blocks[-1].append(ln)

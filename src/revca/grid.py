@@ -2,11 +2,14 @@
 
 A configuration is a finite set of occupied cells (i, j) with arbitrary
 signed coordinates.  A :class:`BinaryGrid` keeps its tight bounding box as
-bit-packed rows, one row of little-endian uint64 words per i: column jmin
-is bit 0 of word 0 and every bit past the last column is 0.  The layout is
-canonical, so equality and hashing compare words, and xor, products and
-steps run on words; cells are read off the nonzero words.  ``window``
-unpacks a dense 0/1 array, for the renderer, the diamond check and tests.
+bit-packed rows of little-endian uint64 words, one row per i.  Every grid
+and walk plane has one column-to-bit map: column j is bit j & 63 of word
+(j >> 6) - (jmin >> 6), every bit outside jmin..jmax is 0, and jmin and
+the column count are exact.  The layout is canonical, so equality and
+hashing compare words; xor, crops and placement move whole words, and
+bits move only where cells move, in ``shift``, ``from_window`` and
+products.  Cells are read off the nonzero words.  ``window`` unpacks a
+dense 0/1 array, for the renderer, the diamond check and tests.
 
 The same set is a GF(2) Laurent polynomial in x, y: cell (i, j) is the
 monomial x^i y^j.  ``+`` is xor, ``*`` is the mod-2 product and
@@ -27,7 +30,7 @@ import numpy as np
 
 Cell = tuple[int, int]
 
-#: word dtype of a grid row: bit k of word w is column 64 w + k
+#: word dtype of a grid row: bit k of word w is column 64 (w + (jmin >> 6)) + k
 _WORD = np.dtype("<u8")
 #: bit k set, for k = 0..63
 _BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
@@ -40,8 +43,9 @@ class MixedParityError(ValueError):
     """Grid holds cells of both (i+j) parities where one was required."""
 
 
-def _nwords(ncols: int) -> int:
-    return -(-ncols // 64)
+def _nwords(j0: int, ncols: int) -> int:
+    """Words of a row that holds the columns j0..j0 + ncols - 1, ncols > 0."""
+    return ((j0 + ncols - 1) >> 6) - (j0 >> 6) + 1
 
 
 def _popcount(words: np.ndarray) -> int:
@@ -65,12 +69,13 @@ class BinaryGrid:
 
     def _fill(self, ii: np.ndarray, jj: np.ndarray) -> None:
         imin, jmin = (int(ii.min()), int(jj.min())) if len(ii) else (0, 0)
-        r, c = ii - imin, jj - jmin
-        ncols = int(c.max(initial=-1)) + 1
-        words = np.zeros((int(r.max(initial=-1)) + 1, _nwords(ncols)), _WORD)
+        r, c = ii - imin, jj - (jmin & -64)
+        top = int(c.max(initial=-1))
+        words = np.zeros((int(r.max(initial=-1)) + 1, (top >> 6) + 1), _WORD)
         np.bitwise_or.at(words.ravel(), r * words.shape[1] + (c >> 6),
                          _BIT[c & 63])
-        self._w, self._imin, self._jmin, self._ncols = words, imin, jmin, ncols
+        self._w, self._imin, self._jmin = words, imin, jmin
+        self._ncols = top + 1 - (jmin & 63)
 
     @classmethod
     def _tight(cls, words: np.ndarray, imin: int, jmin: int,
@@ -82,11 +87,14 @@ class BinaryGrid:
 
     @classmethod
     def from_window(cls, a: np.ndarray, imin: int, jmin: int) -> "BinaryGrid":
-        """Build from a dense 0/1 window; crops to the tight bounding box."""
+        """Build from a dense 0/1 window, padded to whole words (jmin & 63
+        columns on the left); crops to the tight bounding box."""
         h, w = a.shape
-        packed = np.zeros((h, 8 * _nwords(w)), np.uint8)
-        packed[:, :-(-w // 8)] = np.packbits(a, axis=1, bitorder="little")
-        return _wrap_tight(packed.view(_WORD), imin, jmin, w)
+        s = jmin & 63
+        pad = np.pad(a, ((0, 0), (s, -(s + w) % 64)))
+        words = np.packbits(pad, axis=1, bitorder="little").view(_WORD)
+        return _crop(words, imin, jmin - s, _tight_box(words, 0, h, s, s + w),
+                     keep=True)
 
     @classmethod
     def from_index_arrays(cls, ii: np.ndarray, jj: np.ndarray) -> "BinaryGrid":
@@ -97,8 +105,9 @@ class BinaryGrid:
     @property
     def window(self) -> np.ndarray:
         """Dense 0/1 window over the bounding box, unpacked on each call."""
-        return np.unpackbits(self._w.view(np.uint8), axis=1, count=self._ncols,
-                             bitorder="little")
+        s = self._jmin & 63
+        return np.unpackbits(self._w.view(np.uint8), axis=1,
+                             count=s + self._ncols, bitorder="little")[:, s:]
 
     @property
     def origin(self) -> Cell:
@@ -118,7 +127,7 @@ class BinaryGrid:
         if self:
             _int64_bounds(self)
         ri, rj = _set_bits(self._w)
-        return ri + self._imin, rj + self._jmin
+        return ri + self._imin, rj + (self._jmin & -64)
 
     def cells(self) -> frozenset[Cell]:
         return frozenset(self)
@@ -133,14 +142,19 @@ class BinaryGrid:
 
     def __mul__(self, other: "BinaryGrid") -> "BinaryGrid":
         """Mod-2 product: the factor with more terms, laid out flat in rows
-        of the product's width, is shifted once for each bit column of the
-        other factor's terms and xored in at each of that column's rows.
+        of the product's n words, is shifted once for each bit column of
+        the other factor's terms and xored in at each of that column's rows.
 
-        A shift to column 64 q + s moves the flat words by q and their bits
-        by s, each word carrying its top s bits into the next.  Every
-        shifted row still fits the product's width, so no bit crosses into
-        the next row, and the copy's last q words, which would pass the
-        product's end, are 0 and dropped.
+        A shift to bit column 64 q + s moves the flat words by q and their
+        bits by s, each word carrying its top s bits into the next.  The
+        product's base word, (jmin_a + jmin_b) >> 6, lies e = 0 or 1 above
+        the sum of the factors', so a copy lands e words down: the flat
+        product has a head word, and the flat factor, whose rows are at
+        most n + e words, one spare word for e = 1; a row of n + 1 words
+        shares its last word with the next row's first, their bits below
+        and above every shift's carry.  Every shifted row still fits the
+        product's columns, so no set bit crosses into another row or the
+        head word, and the copy's last q words are 0 and dropped.
 
         GF(2)[x^±1, y^±1] has no zero divisors, so each extreme row and
         column of the product is a product of nonzero extreme rows or
@@ -149,12 +163,14 @@ class BinaryGrid:
         small, big = sorted((self, other), key=len)
         if not small:
             return small
-        ncols = small._ncols + big._ncols - 1
-        n = _nwords(ncols)
-        out = np.zeros((len(small._w) + len(big._w) - 1) * n, _WORD)
-        b = np.zeros((len(big._w), n), _WORD)
-        b[:, :big._w.shape[1]] = big._w
-        b = b.ravel()
+        jmin, ncols = small._jmin + big._jmin, small._ncols + big._ncols - 1
+        n, h = _nwords(jmin, ncols), len(big._w)
+        e = (jmin >> 6) - (small._jmin >> 6) - (big._jmin >> 6)
+        out = np.zeros((len(small._w) + h - 1) * n + 1, _WORD)
+        b = np.zeros(h * n + e, _WORD)
+        b[:h * n].reshape(h, n)[:, :big._w.shape[1]] = big._w[:, :n]
+        if big._w.shape[1] > n:
+            b[n::n] |= big._w[:, n]
         terms, (rr, ww) = [], np.nonzero(small._w)
         for r, w, v in zip(rr.tolist(), ww.tolist(),
                            small._w[rr, ww].tolist()):
@@ -170,10 +186,10 @@ class BinaryGrid:
                 if s:
                     t = t << np.uint64(s)
                     t[1:] |= b[:len(t) - 1] >> np.uint64(64 - s)
-            o = r * n + q
+            o = r * n + q + 1 - e
             out[o:o + len(t)] ^= t
-        return BinaryGrid._tight(out.reshape(-1, n), small._imin + big._imin,
-                                 small._jmin + big._jmin, ncols)
+        return BinaryGrid._tight(out[1:].reshape(-1, n),
+                                 small._imin + big._imin, jmin, ncols)
 
     def square(self) -> "BinaryGrid":
         """p^2 over GF(2): every exponent pair doubles, no cross terms."""
@@ -182,7 +198,7 @@ class BinaryGrid:
     def pow_2k(self, k: int) -> "BinaryGrid":
         """p^(2^k): k times each word's bits spread over two words (bit b
         to bit 2b, one ``take`` from a byte table), the rows written 2^k
-        apart, the origin times 2^k."""
+        apart, the origin times 2^k, and sliced to the words of its columns."""
         if k < 0:
             raise ValueError("k must be nonnegative")
         if not self:
@@ -190,10 +206,11 @@ class BinaryGrid:
         d, words = 1 << k, self._w
         for _ in range(k):
             words = _SPREAD.take(words.view(np.uint8)).view(_WORD)
-        ncols = (self._ncols - 1) * d + 1
-        out = np.zeros(((len(words) - 1) * d + 1, _nwords(ncols)), _WORD)
-        out[::d] = words[:, :out.shape[1]]
-        return BinaryGrid._tight(out, self._imin * d, self._jmin * d, ncols)
+        jmin, ncols = self._jmin * d, (self._ncols - 1) * d + 1
+        skip, n = (jmin >> 6) - d * (self._jmin >> 6), _nwords(jmin, ncols)
+        out = np.zeros(((len(words) - 1) * d + 1, n), _WORD)
+        out[::d] = words[:, skip:skip + n]
+        return BinaryGrid._tight(out, self._imin * d, jmin, ncols)
 
     def shift_exponents(self, dx: int, dy: int) -> "BinaryGrid":
         """Multiply by the monomial x^dx y^dy."""
@@ -206,8 +223,9 @@ class BinaryGrid:
         return self._w.size > 0
 
     def __contains__(self, cell: Cell) -> bool:
-        r, c = cell[0] - self._imin, cell[1] - self._jmin
-        if 0 <= r < len(self._w) and 0 <= c < self._ncols:
+        r, j = cell[0] - self._imin, cell[1]
+        if 0 <= r < len(self._w) and 0 <= j - self._jmin < self._ncols:
+            c = j - (self._jmin & -64)
             return bool(int(self._w[r, c >> 6]) >> (c & 63) & 1)
         return False
 
@@ -252,22 +270,13 @@ def _int64_bounds(g: BinaryGrid) -> tuple[int, int, int, int]:
     return b
 
 
-# --- word helpers: a block xored in at any bit offset, and the edge-scan crop
+# --- word helpers: whole-word placement and the edge-scan crop ---------------
 
-def _xor_at(dst: np.ndarray, src: np.ndarray, r: int, c: int) -> None:
-    """dst ^= src, with bit 0 of src's first row at row r, bit c of dst.
-
-    c may be negative.  Words that fall outside dst are dropped; callers
-    only drop zero words.
-    """
-    h, n = src.shape
-    q, b = c >> 6, c & 63
-    parts = ([(q, src)] if not b else
-             [(q, src << np.uint64(b)), (q + 1, src >> np.uint64(64 - b))])
-    for q, part in parts:
-        lo, hi = max(q, 0), min(q + n, dst.shape[1])
-        if lo < hi:
-            dst[r:r + h, lo:hi] ^= part[:, lo - q:hi - q]
+def _place(p: np.ndarray, g: BinaryGrid, i0: int, j0: int) -> None:
+    """p ^= g's words, where bit 0 of p's row 0 is the cell (i0, j0) and j0
+    is a multiple of 64: both hold a column at the same bit."""
+    r, q = g._imin - i0, (g._jmin - j0) >> 6
+    p[r:r + len(g._w), q:q + g._w.shape[1]] ^= g._w
 
 
 def _tight_box(p: np.ndarray, r0: int, r1: int, c0: int,
@@ -290,27 +299,18 @@ def _tight_box(p: np.ndarray, r0: int, r1: int, c0: int,
     return r0, r1, 64 * wa + (lo & -lo).bit_length() - 1, 64 * wb + hi.bit_length()
 
 
-def _crop(p: np.ndarray, i0: int, j0: int,
-          box: tuple[int, int, int, int] | None) -> BinaryGrid:
-    """The grid of p's set bits in a tight box (EMPTY for None), copied so
-    that column c0 is bit 0; bit 0 of p's row 0 is the cell (i0, j0)."""
+def _crop(p: np.ndarray, i0: int, j0: int, box: tuple[int, int, int, int]
+          | None, keep: bool = False) -> BinaryGrid:
+    """The grid of p's set bits in a tight box (EMPTY for None): a copy of
+    the words it spans, or with ``keep`` p itself when they are all of p;
+    bit 0 of p's row 0 is the cell (i0, j0), j0 a multiple of 64."""
     if box is None:
         return EMPTY
     r0, r1, c0, c1 = box
-    out = np.zeros((r1 - r0, _nwords(c1 - c0)), _WORD)
-    wa = c0 >> 6
-    _xor_at(out, p[r0:r1, wa:((c1 - 1) >> 6) + 1], 0, 64 * wa - c0)
-    return BinaryGrid._tight(out, i0 + r0, j0 + c0, c1 - c0)
-
-
-def _wrap_tight(p: np.ndarray, i0: int, j0: int, ncols: int) -> BinaryGrid:
-    """The grid of a fresh C-contiguous word array with _nwords(ncols)
-    words per row and its set bits in columns 0..ncols-1: p itself when
-    that box is tight, else a crop."""
-    box = _tight_box(p, 0, len(p), 0, ncols)
-    if box == (0, len(p), 0, ncols):
-        return BinaryGrid._tight(p, i0, j0, ncols)
-    return _crop(p, i0, j0, box)
+    words = p[r0:r1, c0 >> 6:((c1 - 1) >> 6) + 1]
+    if not (keep and words.shape == p.shape):
+        words = words.copy()
+    return BinaryGrid._tight(words, i0 + r0, j0 + c0, c1 - c0)
 
 
 def xor(a: BinaryGrid, b: BinaryGrid) -> BinaryGrid:
@@ -319,21 +319,28 @@ def xor(a: BinaryGrid, b: BinaryGrid) -> BinaryGrid:
         return b
     if not b:
         return a
-    ai0, ai1, aj0, aj1 = a.bounds()
-    bi0, bi1, bj0, bj1 = b.bounds()
-    i0, j0 = min(ai0, bi0), min(aj0, bj0)
-    ncols = max(aj1, bj1) - j0 + 1
-    out = np.zeros((max(ai1, bi1) - i0 + 1, _nwords(ncols)), _WORD)
-    _xor_at(out, a._w, ai0 - i0, aj0 - j0)
-    _xor_at(out, b._w, bi0 - i0, bj0 - j0)
-    return _wrap_tight(out, i0, j0, ncols)
+    i0, j0 = min(a._imin, b._imin), min(a._jmin, b._jmin) & -64
+    c1 = max(a._jmin + a._ncols, b._jmin + b._ncols) - j0
+    out = np.zeros((max(a._imin + len(a._w), b._imin + len(b._w)) - i0,
+                    ((c1 - 1) >> 6) + 1), _WORD)
+    _place(out, a, i0, j0)
+    _place(out, b, i0, j0)
+    c0 = min(a._jmin, b._jmin) - j0
+    return _crop(out, i0, j0, _tight_box(out, 0, len(out), c0, c1), keep=True)
 
 
 def shift(g: BinaryGrid, dx: int, dy: int) -> BinaryGrid:
-    """Translate every cell (i, j) to (i + dx, j + dy)."""
+    """Translate every cell (i, j) to (i + dx, j + dy): the same words, or
+    when jmin's bit moves by s, their bits moved by s, carried across words."""
     if not g:
         return g
-    return BinaryGrid._tight(g._w, g._imin + dx, g._jmin + dy, g._ncols)
+    jmin, w = g._jmin + dy, g._w
+    if s := (jmin & 63) - (g._jmin & 63):  # down by -s: a word less, up 64 + s
+        t, u = np.zeros((len(w), w.shape[1] + 1), _WORD), np.uint64(s & 63)
+        t[:, :-1] = w << u
+        t[:, 1:] |= w >> (np.uint64(64) - u)
+        w = t[:, int(s < 0):][:, :_nwords(jmin, g._ncols)].copy()
+    return BinaryGrid._tight(w, g._imin + dx, jmin, g._ncols)
 
 
 def diagonal_embed(g: BinaryGrid, parity: str = "even") -> BinaryGrid:
@@ -420,7 +427,8 @@ def _to_text(g: BinaryGrid, tag: str, key: str) -> str:
     rank = np.cumsum(union != 0) - 1
     cols = _set_bits(union[None])[1]
     labels = np.empty(64 * np.count_nonzero(union), object)
-    labels[64 * rank[cols >> 6] + (cols & 63)] = [f" {g._jmin + c}\n"
+    j0 = g._jmin & -64
+    labels[64 * rank[cols >> 6] + (cols & 63)] = [f" {j0 + c}\n"
                                                   for c in cols.tolist()]
     out = [f"{tag} v1 {key}={len(g)}\n"]
     step = max(1, 4096 // max(g._w.shape[1], 1))

@@ -31,8 +31,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .grid import (_WORD, MAX_PARSED_WINDOW, BinaryGrid, CountRecord,
-                   SecondOrderState, _crop, _popcount, _tight_box, _wrap_tight,
-                   _xor_at, single_seed, swap_x, xor)
+                   SecondOrderState, _crop, _place, _popcount, _tight_box,
+                   single_seed, swap_x, xor)
 
 
 class Rule(enum.Enum):
@@ -114,16 +114,19 @@ def _rule_words(rule: Rule, x: np.ndarray, nw: int, acc: np.ndarray,
 
 def first_order_step(rule: Rule, g: BinaryGrid) -> BinaryGrid:
     """One application of the named first-order rule: the call that
-    ``_rule_words`` binds on g's words below two empty rows and right of
-    one empty bit, run once and cropped."""
-    (i0, j0), w = g.origin, g._ncols
-    nw = -(-(w + 2) // 64)  # the last bit of each row stays empty
+    ``_rule_words`` binds on g's words, placed whole in the words of its
+    columns grown by one, between two empty rows each side, run once and
+    cropped."""
+    i0, j0 = g._imin - 2, (g._jmin - 1) & -64  # the cell of x's bit 0
+    c1 = g._jmin + g._ncols + 1 - j0  # past the last column f can reach
+    nw = ((c1 - 1) >> 6) + 1
     x = np.zeros((len(g._w) + 4, nw), _WORD)
-    _xor_at(x, g._w, 2, 1)
+    _place(x, g, i0, j0)
     new = np.zeros((len(g._w) + 2, nw), _WORD)
     _rule_words(rule, x.ravel(), nw, new.ravel(),
                 np.empty(4 * x.size, _WORD))()
-    return _wrap_tight(new, i0 - 1, j0 - 1, w + 2)
+    box = _tight_box(new, 0, len(new), g._jmin - 1 - j0, c1)
+    return _crop(new, i0 + 1, j0, box, keep=True)
 
 
 StepFn = Callable[[Rule, BinaryGrid], BinaryGrid]
@@ -162,12 +165,14 @@ class _Planes:
     records ``span``, the union of both states' tight boxes in plane
     coordinates (r0, r1, c0, c1), half-open, and sets ``age``, the steps
     taken since, to 0.  f has radius one, so a state grows by at most one
-    cell a step and both planes lie in span grown by age: ``_box``
-    tightens that region at hand-out and at the next layout, and
-    ``tally`` and ``off_lattice`` read whole planes.
+    cell a step and both planes lie in span grown by age: ``grid``
+    tightens that region at hand-out, and ``tally`` and ``off_lattice``
+    read whole planes.  A layout starts from grids: a new one from the
+    planes' hand-outs.
 
     Every layout spans ``span`` grown by a room of _ROOM + 1 cells, and by
-    up to 63 more columns so that words move whole.  The kernel writes all
+    up to 63 more columns so that its origin column is a multiple of 64
+    and words move whole between grids and planes.  The kernel writes all
     plane rows but the first and the last, and needs the first and the
     last bit of each row it reads empty, so a step is exact while f of the
     current state, in span grown by age + 1, keeps off the planes' edge
@@ -180,23 +185,16 @@ class _Planes:
     """
 
     def __init__(self, s: SecondOrderState, reach: int = 0):
-        self.grids: list[BinaryGrid | None] = [s.current, s.previous]
-        self._lay_out([(g._w, *g.origin, (0, len(g._w), 0, g._ncols))
-                       if g else None for g in self.grids], reach)
+        self._lay_out([s.current, s.previous], reach)
 
-    def _lay_out(self, parts: list, reach: int = 0) -> None:
-        """Both planes anew over the union of the parts' boxes grown by the
-        room, refused with ValueError before any plane is made when that
-        union grown by ``reach`` spans more than ``MAX_PARSED_WINDOW`` cells.
-        Part k is None or (words, i, j, box): plane k's cells are the set
-        bits of words in box, a tight box, and bit 0 of words' row 0 is the
-        cell (i, j).  Column j0 lies whole words from the first part's j,
-        up to 63 columns further out than the room asks, so that part's
-        words move without a bit shift: on a new layout, both parts' words."""
+    def _lay_out(self, grids: list[BinaryGrid], reach: int = 0) -> None:
+        """Both planes anew, plane k holding grids[k], over the union of
+        the grids' boxes grown by the room, refused with ValueError before
+        any plane is made when that union grown by ``reach`` spans more
+        than ``MAX_PARSED_WINDOW`` cells."""
         self._calls: list[Callable[[], None]] = []  # and so their scratch
-        parts_in = list(filter(None, parts))
-        spans = [(i + r0, i + r1, j + c0, j + c1)
-                 for _, i, j, (r0, r1, c0, c1) in parts_in]
+        spans = [(i0, i1 + 1, j0, j1 + 1)
+                 for i0, i1, j0, j1 in (g.bounds() for g in grids if g)]
         lo_i, hi_i, lo_j, hi_j = zip(*spans or [(0, 1, 0, 1)])
         rows = max(hi_i) - min(lo_i) + 2 * reach
         cols = max(hi_j) - min(lo_j) + 2 * reach
@@ -204,27 +202,22 @@ class _Planes:
             raise ValueError(f"a walk plane of {rows} x {cols} cells spans "
                              f"more than {MAX_PARSED_WINDOW} cells")
         room = _ROOM + 1
-        i0, j0 = min(lo_i) - room, min(lo_j) - room
-        j0 -= (j0 - (parts_in[0][2] if parts_in else j0)) % 64
+        i0, j0 = min(lo_i) - room, (min(lo_j) - room) & -64
         self.span = (min(lo_i) - i0, max(hi_i) - i0,
                      min(lo_j) - j0, max(hi_j) - j0)
         shape = (self.span[1] + room, -(-(self.span[3] + room) // 64))
         self.origin, self.planes, self.age = (i0, j0), [], 0
-        for part in parts:
+        self.grids: list[BinaryGrid | None] = list(grids)
+        for g in grids:
             self.planes.append(np.zeros(shape, _WORD))
-            if part:
-                w, i, j, (r0, r1, c0, c1) = part
-                wa = c0 >> 6
-                _xor_at(self.planes[-1], w[r0:r1, wa:((c1 - 1) >> 6) + 1],
-                        i + r0 - i0, j + 64 * wa - j0)
+            _place(self.planes[-1], g, i0, j0)
 
     def step(self, rule: Rule) -> None:
         """X_{k+2} = f(X_{k+1}) + X_k, written over X_k; then swap roles.
         The planes are laid out anew at age _ROOM, and the rule is bound
         at the first step after each layout."""
         if self.age == _ROOM:
-            self._lay_out([(p, *self.origin, b) if b else None for p, b
-                           in zip(self.planes, map(self._box, (0, 1)))])
+            self._lay_out([self.grid(0), self.grid(1)])
         if not self._calls:  # each plane's rows give f on the other's
             tmp = np.empty(4 * self.planes[0].size, _WORD)  # inner rows
             self._calls = [_rule_words(rule, a.ravel(), a.shape[1],
@@ -235,12 +228,6 @@ class _Planes:
         self.planes.reverse()
         self._calls.reverse()
         self.grids = [None, self.grids[0]]
-
-    def _box(self, k: int) -> tuple[int, int, int, int] | None:
-        """Plane k's tight box, or None when it is empty: span grown by
-        age, which stays on the planes since age <= _ROOM, tightened."""
-        a, (r0, r1, c0, c1) = self.age, self.span
-        return _tight_box(self.planes[k], r0 - a, r1 + a, c0 - a, c1 + a)
 
     def off_lattice(self, k: int, par: int, coset: bool) -> bool:
         """Whether plane k holds a cell off the checkerboard i + j = par
@@ -254,10 +241,12 @@ class _Planes:
         return bool(bad.any() or coset and words[(i + par) & 1 == 1].any())
 
     def grid(self, k: int) -> BinaryGrid:
-        """Plane k as a BinaryGrid: a shifted copy of the words in its
-        tight box, made once."""
+        """Plane k as a BinaryGrid, made once: a copy of the words of span
+        grown by age (on the planes since age <= _ROOM), tightened."""
         if self.grids[k] is None:
-            self.grids[k] = _crop(self.planes[k], *self.origin, self._box(k))
+            a, (r0, r1, c0, c1) = self.age, self.span
+            box = _tight_box(self.planes[k], r0 - a, r1 + a, c0 - a, c1 + a)
+            self.grids[k] = _crop(self.planes[k], *self.origin, box)
         return self.grids[k]
 
     def state(self) -> SecondOrderState:

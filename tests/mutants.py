@@ -93,6 +93,32 @@ MUTANTS = [
            "            if j == 0 and len(outer) != 4:\n"
            '                return f"n=2^{k}: outer copies are not 4 seeds"\n',
            "", "test_verify.py"),
+    # the witness branches that only a negative control reaches
+    Mutant("equivalence without its R3' check", "revca/verify.py",
+           "        if s3p != s2:\n"
+           '            return f"R3\' != R2 at n={n}: {_state_diff(s3p, s2)}"\n',
+           "", "test_verify.py"),
+    Mutant("replication without its overlap check", "revca/verify.py",
+           "            if copies is None:\n"
+           '                return (f"rule={rule.value} k={k} pattern step {m}: "\n'
+           '                        f"copies overlap")\n', "", "test_verify.py"),
+    Mutant("polynomial without its growth check", "revca/verify.py",
+           "        if w := _growth_witness(rule, transition_poly(rule), n_max, "
+           "step_fn):\n"
+           '            return f"rule={rule.value} {w}"\n', "        pass\n",
+           "test_verify.py"),
+    Mutant("sublattice without its parity witness", "revca/verify.py",
+           "        except ValueError as e:\n"
+           '            return f"n={n}: {e}"\n',
+           "        finally:\n            pass\n", "test_verify.py"),
+    Mutant("suite_diamond without its R1 term check", "revca/verify.py",
+           "        if seq.seq_value(SeqId.R1, target) != 4 ** k:\n"
+           '            return f"k={k}: R1(2^{k}-1) != 4^{k}"\n', "",
+           "test_verify.py"),
+    Mutant("suite_diamond without its R term check", "revca/verify.py",
+           "        if seq.seq_value(SeqId.R, target) != (4 ** (k + 1) - 1) // 3:\n"
+           '            return f"k={k}: R(2^{k}-1) != (4^{k + 1}-1)/3"\n', "",
+           "test_verify.py"),
     Mutant("suite_diamond without its bounds check", "revca/verify.py",
            "ones.bounds() != (-target, target, -target, target)\n"
            "                or ", "", "test_verify.py"),
@@ -138,10 +164,12 @@ MUTANTS = [
            "self.planes[k], r0 - a, r1 + a, c0 - a, c1 + a)",
            "self.planes[k], r0, r1, c0, c1)", "test_rules.py"),
     Mutant("grid(k) cropping the grown span untightened", "revca/rules.py",
-           "_crop(self.planes[k], *self.origin, self._box(k))",
-           "_crop(self.planes[k], *self.origin, self._box(k) and tuple(\n"
-           "                e + self.age * d for e, d in\n"
-           "                zip(self.span, (-1, 1, -1, 1))))",
+           "_crop(self.planes[k], *self.origin, box)",
+           "_crop(self.planes[k], *self.origin,\n"
+           "                                  box and (r0 - a, r1 + a, c0 - a, "
+           "c1 + a))", "test_rules.py"),
+    Mutant("a plane origin that is not a multiple of 64", "revca/rules.py",
+           "(min(lo_j) - room) & -64", "(min(lo_j) - room) & -32",
            "test_rules.py"),
     Mutant("the layout's column origin off by one", "revca/rules.py",
            "self.origin, self.planes, self.age = (i0, j0), [], 0",
@@ -162,6 +190,16 @@ MUTANTS = [
            "o = r * n + q", "o = r * (n - 1) + q", "test_poly.py"),
     Mutant("a product's first shifted copy reused for every column",
            "revca/grid.py", "if c != last:", "if last < 0:", "test_poly.py"),
+    Mutant("a product's one-word-down shift ignored", "revca/grid.py",
+           "o = r * n + q + 1 - e", "o = r * n + q + 1", "test_poly.py"),
+    Mutant("pow_2k's slice one word off", "revca/grid.py",
+           "words[:, skip:skip + n]", "words[:, skip + 1:skip + 1 + n]",
+           "test_poly.py"),
+    Mutant("from_window's pad one bit off", "revca/grid.py",
+           "np.pad(a, ((0, 0), (s, -(s + w) % 64)))",
+           "np.pad(a, ((0, 0), (s + 1, -(s + w + 1) % 64)))", "test_grid.py"),
+    Mutant("shift's carry word dropped", "revca/grid.py",
+           "        t[:, 1:] |= w >> (np.uint64(64) - u)\n", "", "test_grid.py"),
     Mutant("_tight_box's bottom row off by one", "revca/grid.py",
            "r0 + int(live[-1]) + 1", "r0 + int(live[-1])", "test_rules.py"),
     Mutant("the render value window clipped one row short",
@@ -188,16 +226,16 @@ MUTANTS = [
 # is, so a refactor cannot retire it silently
 EQUIVALENT = [
     (Mutant("the layout's column room cut by one on the left",
-            "revca/rules.py", "min(lo_j) - room\n",
-            "min(lo_j) - room + 1\n", "test_rules.py"),
+            "revca/rules.py", "(min(lo_j) - room) & -64",
+            "(min(lo_j) - room + 1) & -64", "test_rules.py"),
      "_ROOM columns keep bit 0 of every row empty through age _ROOM - 1, "
      "the last step of a layout; only the rows need _ROOM + 1, because "
      "the kernel writes inner rows only"),
     (Mutant("the layout's column room grown by one on the left",
-            "revca/rules.py", "min(lo_j) - room\n",
-            "min(lo_j) - room - 1\n", "test_rules.py"),
-     "the alignment to the first part's words undoes it or leaves one more "
-     "word"),
+            "revca/rules.py", "(min(lo_j) - room) & -64",
+            "(min(lo_j) - room - 1) & -64", "test_rules.py"),
+     "rounding the origin column down to a multiple of 64 undoes it or "
+     "leaves one more word"),
     # perf-only variants: the same outputs, timed in one process that
     # alternates fresh imports of both trees (medians of 8-10 rounds)
     (Mutant("a product's outer factor chosen by word count",

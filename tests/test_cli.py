@@ -13,7 +13,7 @@ from revca import cli, rules, sequences, verify
 from revca.cli import (_GREATEST_TABLE_MAX, _sequence_rows, main,
                        state_from_text, state_to_text)
 from revca.gf2poly import state_poly_at
-from revca.grid import count_values, single_seed
+from revca.grid import count_values, grid_to_text, single_seed
 from revca.render import render
 from revca.rules import LIFT_NAMES, Rule, evolve
 from revca.verify import _GREATEST_RANGE
@@ -356,6 +356,35 @@ def test_zero_steps_of_a_state_wider_than_a_plane(tmp_path, capsys):
     code, out, _ = run(capsys, "simulate", "--rule", "R1", "--steps", "0",
                        "--load", str(st))
     assert code == 0 and out == "n=0 R1=1 R2=1 R3=0 R=2\n"
+
+
+def test_state_files_with_blank_lines_load(tmp_path, capsys):
+    # blank lines before, between and after the blocks start no block
+    s = evolve(Rule.C2, single_seed(), 5)
+    st = tmp_path / "state.txt"
+    st.write_text(state_to_text(s))
+    argv = ("simulate", "--rule", "R2", "--steps", "4", "--load", str(st))
+    want = run(capsys, *argv)
+    assert want[0] == 0 and want[2] == ""
+    st.write_text("\n  \n" + grid_to_text(s.current) + "\n\n"
+                  + grid_to_text(s.previous) + "\t\n\n")
+    assert run(capsys, *argv) == want
+
+
+@pytest.mark.parametrize("text, err", [
+    ("", "error: state file needs 2 grid blocks, found 0\n"),
+    ("#bgrid v1 count=1\n0 0\n",
+     "error: state file needs 2 grid blocks, found 1\n"),
+    ("#bgrid v1 count=0\n" * 3,
+     "error: state file needs 2 grid blocks, found 3\n"),
+    ("\n0 0\n#bgrid v1 count=0\n", "error: missing '#bgrid v1' header\n"),
+])
+def test_malformed_state_files_keep_their_messages(tmp_path, capsys, text,
+                                                   err):
+    st = tmp_path / "state.txt"
+    st.write_text(text)
+    assert run(capsys, "simulate", "--rule", "R1", "--steps", "1", "--load",
+               str(st)) == (2, "", err)
 
 
 def test_load_header_without_count_exit_2(tmp_path, capsys):

@@ -151,23 +151,51 @@ def test_equality_and_hash_follow_the_cell_set(a, b):
 
 
 def same_cells(g, want):
-    """g holds exactly ``want``, and is == and hash-equal to the grid that
-    a list of those cells builds."""
+    """g holds exactly ``want``, is == and hash-equal to the grid that a
+    list of those cells builds, and holds them under the one column-to-bit
+    map: column j is bit j & 63 of word (j >> 6) - (jmin >> 6) of row
+    i - imin, the box is bit-exact and every other bit is 0."""
     ref = BinaryGrid(list(want))
     assert g.cells() == want
     assert g == ref and hash(g) == hash(ref)
+    if not want:
+        assert g._w.size == 0
+        return
+    (i0, j0), (i1, j1) = map(min, zip(*want)), map(max, zip(*want))
+    words = np.zeros((i1 - i0 + 1, (j1 >> 6) - (j0 >> 6) + 1), np.uint64)
+    for i, j in want:
+        words[i - i0, (j >> 6) - (j0 >> 6)] |= np.uint64(1 << (j & 63))
+    assert (g.origin, g._ncols) == ((i0, j0), j1 - j0 + 1)
+    assert g._w.dtype == np.dtype("<u8") and g._w.flags.c_contiguous
+    assert np.array_equal(g._w, words)
+
+
+# moves around +-64 and +-128, where a column's bit or word changes
+edge_moves = st.one_of(st.integers(-130, 130), st.sampled_from(
+    [-129, -128, -127, -65, -64, -63, -1, 1, 63, 64, 65, 127, 128, 129]))
 
 
 @settings(deadline=None)
-@given(any_grids, any_grids, st.integers(-70, 70), st.integers(-70, 70),
+@given(any_grids, any_grids, st.integers(-70, 70), edge_moves,
        st.integers(0, 3), st.integers(0, 70), st.integers(0, 3))
 @example(BinaryGrid([(0, 0), (2, 127)]), BinaryGrid([(0, 127)]), 0, 64, 1,
          64, 1)
+# the product's base word is one above the sum of the factors', and the
+# wider factor's rows one word wider than the product's
+@example(BinaryGrid([(0, 1)]), BinaryGrid([(0, 63), (0, 64)]), 0, 64, 0, 1,
+         1)
+@example(BinaryGrid([(0, 1), (2, 1)]),
+         BinaryGrid([(0, 63), (0, 64), (1, 64), (2, 63), (2, 64)]), 1, -64,
+         0, 64, 2)
 def test_every_path_builds_the_canonical_grid(a, b, dx, dy, rows, cols, k):
-    """The same cell set makes an == and hash-equal grid whichever path
-    built it; the padding moves a window's columns across word edges."""
+    """The same cell set makes an == and hash-equal grid, with the same
+    words, whichever path built it; the padding moves a window's columns
+    across word edges, and the walk crosses a new layout of its planes."""
     ca, cb = a.cells(), b.cells()
     same_cells(BinaryGrid(list(ca)), ca)
+    ii, jj = (np.array(v, np.int64) for v in zip(*ca)) if ca else ([], [])
+    same_cells(BinaryGrid.from_index_arrays(ii, jj), ca)
+    same_cells(grid_from_text(grid_to_text(a)), ca)
     win = np.zeros((a.window.shape[0] + 2 * rows,
                     a.window.shape[1] + 2 * cols), np.uint8)
     win[rows:win.shape[0] - rows, cols:win.shape[1] - cols] = a.window
@@ -178,15 +206,19 @@ def test_every_path_builds_the_canonical_grid(a, b, dx, dy, rows, cols, k):
     moved = {(i + dx, j + dy) for i, j in ca}
     same_cells(shift(a, dx, dy), moved)
     same_cells(a * BinaryGrid([(dx, dy)]), moved)
+    product = set()
+    for i, j in ca:
+        product ^= {(i + u, j + v) for u, v in cb}
+    same_cells(a * b, product)
     d = 1 << k
     same_cells(a.pow_2k(k), {(d * i, d * j) for i, j in ca})
     for rule in Rule:
         same_cells(first_order_step(rule, a), dense_step(rule, a).cells())
     want = SecondOrderState(a, b)
-    for s in trajectory(Rule.C3, 3, SecondOrderState(a, b)):
+    for s in trajectory(Rule.C3p, 18, SecondOrderState(a, b)):
         same_cells(s.current, want.current.cells())
         same_cells(s.previous, want.previous.cells())
-        want = second_order_step(Rule.C3, want, dense_step)
+        want = second_order_step(Rule.C3p, want, dense_step)
 
 
 def test_coordinates_past_int64_raise_value_error():

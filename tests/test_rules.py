@@ -301,6 +301,16 @@ def test_every_layout_has_the_same_room(n, step_fn):
         assert room <= c0 < room + 64 and 64 * words - c1 >= room
 
 
+@pytest.mark.parametrize("step_fn", [first_order_step, dense_step])
+def test_hand_outs_share_no_memory_with_the_planes(step_fn):
+    # a hand-out is a copy of a plane's words, before and after each new
+    # layout, and the start's grids are copied into the planes
+    s = SecondOrderState(WIDE.current, EMPTY)
+    for planes in _walk(Rule.C3p, 3 * rules._ROOM + 1, s, step_fn):
+        for g in (planes.grid(0), planes.grid(1)):
+            assert not any(np.shares_memory(g._w, p) for p in planes.planes)
+
+
 def test_popcount_fallback_matches_bitwise_count(monkeypatch):
     rng = np.random.default_rng(7)
     words = rng.integers(0, 2**64, size=(9, 5), dtype=np.uint64)

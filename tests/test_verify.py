@@ -13,6 +13,7 @@ from revca.gf2poly import transition_poly
 from revca.grid import (EMPTY, BinaryGrid, SecondOrderState, shift,
                         single_seed, swap_x, xor)
 from revca.rules import Rule, _Planes, evolve, first_order_step, trajectory
+from revca.sequences import SeqId
 
 from oracle import neighbor_sums, pair_composition
 
@@ -129,6 +130,18 @@ def test_equivalence_lemma_negative_controls(corrupt, witness):
     assert report.witness == witness
 
 
+def test_equivalence_negative_control_r3p():
+    # only C3's results gain the origin: R3 still equals R2, R3' does not
+    def step(rule, g):
+        out = first_order_step(rule, g)
+        return xor(out, BinaryGrid([(0, 0)])) if rule is Rule.C3p else out
+
+    report = verify.suite_equivalence(8, step_fn=step)
+    assert not report.passed
+    assert report.witness == ("R3' != R2 at n=1: current diff [(0, 0)], "
+                              "previous diff []")
+
+
 def test_counts_negative_control():
     report = verify.suite_counts(8, step_fn=corrupt_c2_missing_neighbor)
     assert not report.passed
@@ -156,6 +169,24 @@ def test_replication_negative_control_c1():
     assert not report.passed
     assert report.witness == \
         "rule=C1 k=0 pattern step 0: 2^k steps != four copies"
+
+
+def test_replication_overlap_negative_control():
+    # C2's 3rd result gains (-9, -8), and its 4th input drops it, so only
+    # pattern 3 holds it: the copy shifted by (8, 0) puts it on (-1, -8),
+    # where the copy shifted by (0, -8) puts the pattern's (-1, 0)
+    odd, calls = BinaryGrid([(-9, -8)]), []
+
+    def step(rule, g):
+        if rule is Rule.C2:
+            calls.append(g)
+            g = xor(g, odd) if len(calls) == 4 else g
+        out = first_order_step(rule, g)
+        return xor(out, odd) if rule is Rule.C2 and len(calls) == 3 else out
+
+    report = verify.suite_replication(3, step_fn=step)
+    assert not report.passed
+    assert report.witness == "rule=C2 k=3 pattern step 3: copies overlap"
 
 
 @pytest.mark.parametrize("k", range(5))
@@ -196,6 +227,43 @@ def test_copies_overlap_is_none(rule):
     # (., -1) and (., +1) both cover the column between them
     g = BinaryGrid([(0, 0), (0, 2)])
     assert verify._copies(transition_poly(rule), 1, g) is None
+
+
+def test_polynomial_growth_seed_negative_control(monkeypatch):
+    # every state matches its ladder polynomials; then T^4's copies of the
+    # seed lose their 4 terms
+    copies = verify._copies
+    monkeypatch.setattr(verify, "_copies", lambda T, d, g: copies(T, d, g)
+                        if d < 4 else EMPTY)
+    report = verify.suite_polynomial(8)
+    assert not report.passed
+    assert report.witness == "rule=C1 n=2^2: outer copies are not 4 seeds"
+
+
+def test_sublattice_parity_negative_control():
+    # C1's results gain (100, 101), off the even diagonal sublattice
+    def step(rule, g):
+        out = first_order_step(rule, g)
+        return xor(out, BinaryGrid([(100, 101)])) if rule is Rule.C1 else out
+
+    report = verify.suite_sublattice(8, step_fn=step)
+    assert not report.passed
+    assert report.witness == ("n=1: grid has cells outside the even diagonal "
+                              "sublattice")
+
+
+@pytest.mark.parametrize("which, n, witness", [
+    (SeqId.R1, 3, "k=2: R1(2^2-1) != 4^2"),
+    (SeqId.R, 7, "k=3: R(2^3-1) != (4^4-1)/3"),
+])
+def test_diamond_sequence_negative_controls(monkeypatch, which, n, witness):
+    # the walk's diamonds hold; the sequence term at 2^k - 1 is one off
+    seq_value = verify.seq.seq_value
+    monkeypatch.setattr(verify.seq, "seq_value", lambda s, m: seq_value(s, m)
+                        + (s is which and m == n))
+    report = verify.suite_diamond(3)
+    assert not report.passed
+    assert report.witness == witness
 
 
 def test_reversibility_negative_control():
