@@ -8,8 +8,12 @@ and walk plane has one column-to-bit map: column j is bit j & 63 of word
 the column count are exact.  The layout is canonical, so equality and
 hashing compare words; xor, crops and placement move whole words, and
 bits move only where cells move, in ``shift``, ``from_window`` and
-products.  Cells are read off the nonzero words.  ``window`` unpacks a
-dense 0/1 array, for the renderer, the diamond check and tests.
+products.  Only this module frames and crops word arrays: ``_frame``
+gives the origin and shape of the words over a union of boxes grown by
+a room, for xor, a rule step and a walk's planes, and ``_crop`` finds
+the tight box of an array's set bits.  Cells are read off the nonzero
+words.  ``window`` unpacks a dense 0/1 array, for the renderer, the
+diamond check and tests.
 
 The same set is a GF(2) Laurent polynomial in x, y: cell (i, j) is the
 monomial x^i y^j.  ``+`` is xor, ``*`` is the mod-2 product and
@@ -89,12 +93,10 @@ class BinaryGrid:
     def from_window(cls, a: np.ndarray, imin: int, jmin: int) -> "BinaryGrid":
         """Build from a dense 0/1 window, padded to whole words (jmin & 63
         columns on the left); crops to the tight bounding box."""
-        h, w = a.shape
-        s = jmin & 63
+        s, w = jmin & 63, a.shape[1]
         pad = np.pad(a, ((0, 0), (s, -(s + w) % 64)))
         words = np.packbits(pad, axis=1, bitorder="little").view(_WORD)
-        return _crop(words, imin, jmin - s, _tight_box(words, 0, h, s, s + w),
-                     keep=True)
+        return _crop(words, imin, jmin - s, keep=True)
 
     @classmethod
     def from_index_arrays(cls, ii: np.ndarray, jj: np.ndarray) -> "BinaryGrid":
@@ -270,7 +272,7 @@ def _int64_bounds(g: BinaryGrid) -> tuple[int, int, int, int]:
     return b
 
 
-# --- word helpers: whole-word placement and the edge-scan crop ---------------
+# --- word helpers: the one frame, whole-word placement and the crop ---------
 
 def _place(p: np.ndarray, g: BinaryGrid, i0: int, j0: int) -> None:
     """p ^= g's words, where bit 0 of p's row 0 is the cell (i0, j0) and j0
@@ -279,38 +281,41 @@ def _place(p: np.ndarray, g: BinaryGrid, i0: int, j0: int) -> None:
     p[r:r + len(g._w), q:q + g._w.shape[1]] ^= g._w
 
 
-def _tight_box(p: np.ndarray, r0: int, r1: int, c0: int,
-               c1: int) -> tuple[int, int, int, int] | None:
-    """Tight half-open box (r0, r1, c0, c1) of the set bits of the word
-    array p, all of which lie in rows r0..r1 and bit columns c0..c1, or
-    None when there are none: each edge moves inward while its row or
-    word is empty; rows, all at once when an edge row is empty."""
-    wa, wb = c0 >> 6, (c1 - 1) >> 6  # inclusive
-    rows = p[r0:r1, wa:wb + 1]
-    if not (np.count_nonzero(rows[:1]) and np.count_nonzero(rows[-1:])):
-        live = np.flatnonzero(rows.any(axis=1))
+def _frame(grids: list[BinaryGrid], room: int) -> tuple[int, int, int, int]:
+    """(i0, j0, rows, words) of the word array over the union of the
+    nonempty grids' boxes, or of the cell (0, 0) when there are none, grown
+    by ``room`` cells on every side: bit 0 of its row 0 is the cell
+    (i0, j0), and j0 is a multiple of 64, so words move whole to and from
+    every grid.  xor, a rule step and a walk's planes all frame here."""
+    i0, i1, j0, j1 = zip(*[(g._imin, g._imin + len(g._w), g._jmin,
+                            g._jmin + g._ncols) for g in grids if g._w.size]
+                         or [(0, 1, 0, 1)])
+    i0, j0 = min(i0) - room, (min(j0) - room) & -64
+    return i0, j0, max(i1) + room - i0, ((max(j1) + room - 1 - j0) >> 6) + 1
+
+
+def _crop(p: np.ndarray, i0: int, j0: int, keep: bool = False) -> BinaryGrid:
+    """The grid of the set bits of the word array p, EMPTY when there are
+    none: a copy of the words of their tight box, or with ``keep`` p itself
+    when those are all of p; bit 0 of p's row 0 is the cell (i0, j0), j0 a
+    multiple of 64.  Each edge moves inward while its row or word is empty;
+    rows all at once when an edge row is empty."""
+    r0, r1, wa, wb = 0, len(p), 0, p.shape[1] - 1
+    if not (np.count_nonzero(p[:1]) and np.count_nonzero(p[-1:])):
+        live = np.flatnonzero(p.any(axis=1))
         if not len(live):
-            return None
-        r0, r1 = r0 + int(live[0]), r0 + int(live[-1]) + 1
+            return EMPTY
+        r0, r1 = int(live[0]), int(live[-1]) + 1
     while not (lo := int(np.bitwise_or.reduce(p[r0:r1, wa]))):
         wa += 1
     while not (hi := int(np.bitwise_or.reduce(p[r0:r1, wb]))):
         wb -= 1
-    return r0, r1, 64 * wa + (lo & -lo).bit_length() - 1, 64 * wb + hi.bit_length()
-
-
-def _crop(p: np.ndarray, i0: int, j0: int, box: tuple[int, int, int, int]
-          | None, keep: bool = False) -> BinaryGrid:
-    """The grid of p's set bits in a tight box (EMPTY for None): a copy of
-    the words it spans, or with ``keep`` p itself when they are all of p;
-    bit 0 of p's row 0 is the cell (i0, j0), j0 a multiple of 64."""
-    if box is None:
-        return EMPTY
-    r0, r1, c0, c1 = box
-    words = p[r0:r1, c0 >> 6:((c1 - 1) >> 6) + 1]
+    words = p[r0:r1, wa:wb + 1]
     if not (keep and words.shape == p.shape):
         words = words.copy()
-    return BinaryGrid._tight(words, i0 + r0, j0 + c0, c1 - c0)
+    c0 = 64 * wa + (lo & -lo).bit_length() - 1
+    return BinaryGrid._tight(words, i0 + r0, j0 + c0,
+                             64 * wb + hi.bit_length() - c0)
 
 
 def xor(a: BinaryGrid, b: BinaryGrid) -> BinaryGrid:
@@ -319,14 +324,11 @@ def xor(a: BinaryGrid, b: BinaryGrid) -> BinaryGrid:
         return b
     if not b:
         return a
-    i0, j0 = min(a._imin, b._imin), min(a._jmin, b._jmin) & -64
-    c1 = max(a._jmin + a._ncols, b._jmin + b._ncols) - j0
-    out = np.zeros((max(a._imin + len(a._w), b._imin + len(b._w)) - i0,
-                    ((c1 - 1) >> 6) + 1), _WORD)
+    i0, j0, rows, words = _frame([a, b], 0)
+    out = np.zeros((rows, words), _WORD)
     _place(out, a, i0, j0)
     _place(out, b, i0, j0)
-    c0 = min(a._jmin, b._jmin) - j0
-    return _crop(out, i0, j0, _tight_box(out, 0, len(out), c0, c1), keep=True)
+    return _crop(out, i0, j0, keep=True)
 
 
 def shift(g: BinaryGrid, dx: int, dy: int) -> BinaryGrid:
@@ -402,11 +404,19 @@ def swap_x(s: SecondOrderState) -> SecondOrderState:
 def count_values(s: SecondOrderState, n: int = 0) -> CountRecord:
     """Tally cells of value 1, 2, 3 in a state; ``n`` is caller-supplied.
 
-    Value-3 cells lie in both components and cancel in their xor, so
-    r3 = (|c| + |p| - |c xor p|) / 2.
+    Value-3 cells lie in both components: r3 is the popcount of the & of
+    both components' words over the rows and columns their boxes share,
+    and 0 when those are none, so no union of the boxes is made.
     """
     cur, prev = s.current, s.previous
-    r3 = (len(cur) + len(prev) - len(xor(cur, prev))) // 2
+    i0, j0 = max(cur._imin, prev._imin), max(cur._jmin, prev._jmin)
+    i1 = min(cur._imin + len(cur._w), prev._imin + len(prev._w))
+    j1 = min(cur._jmin + cur._ncols, prev._jmin + prev._ncols)
+    r3 = 0
+    if i0 < i1 and j0 < j1:  # each grid's words of those rows and columns
+        a, b = (g._w[i0 - g._imin:i1 - g._imin, (j0 >> 6) - (g._jmin >> 6):
+                     ((j1 - 1) >> 6) + 1 - (g._jmin >> 6)] for g in (cur, prev))
+        r3 = _popcount(a & b)
     r1, r2 = len(cur) - r3, len(prev) - r3
     return CountRecord(n, r1, r2, r3, r1 + r2 + r3)
 

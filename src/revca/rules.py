@@ -31,7 +31,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .grid import (_WORD, MAX_PARSED_WINDOW, BinaryGrid, CountRecord,
-                   SecondOrderState, _crop, _place, _popcount, _tight_box,
+                   SecondOrderState, _crop, _frame, _place, _popcount,
                    single_seed, swap_x, xor)
 
 
@@ -114,19 +114,15 @@ def _rule_words(rule: Rule, x: np.ndarray, nw: int, acc: np.ndarray,
 
 def first_order_step(rule: Rule, g: BinaryGrid) -> BinaryGrid:
     """One application of the named first-order rule: the call that
-    ``_rule_words`` binds on g's words, placed whole in the words of its
-    columns grown by one, between two empty rows each side, run once and
-    cropped."""
-    i0, j0 = g._imin - 2, (g._jmin - 1) & -64  # the cell of x's bit 0
-    c1 = g._jmin + g._ncols + 1 - j0  # past the last column f can reach
-    nw = ((c1 - 1) >> 6) + 1
-    x = np.zeros((len(g._w) + 4, nw), _WORD)
+    ``_rule_words`` binds on g's words, placed whole in grid.py's frame of
+    g with a room of two cells, run once and cropped."""
+    i0, j0, rows, nw = _frame([g], 2)
+    x = np.zeros((rows, nw), _WORD)
     _place(x, g, i0, j0)
-    new = np.zeros((len(g._w) + 2, nw), _WORD)
+    new = np.zeros((rows - 2, nw), _WORD)
     _rule_words(rule, x.ravel(), nw, new.ravel(),
                 np.empty(4 * x.size, _WORD))()
-    box = _tight_box(new, 0, len(new), g._jmin - 1 - j0, c1)
-    return _crop(new, i0 + 1, j0, box, keep=True)
+    return _crop(new, i0 + 1, j0, keep=True)
 
 
 StepFn = Callable[[Rule, BinaryGrid], BinaryGrid]
@@ -161,22 +157,20 @@ class _Planes:
     on two compact bit-packed planes (rows along i, bits along j).
 
     Index 0 is the newest plane, the current component; each plane keeps
-    the BinaryGrid it holds once one has been handed out.  A layout
-    records ``span``, the union of both states' tight boxes in plane
-    coordinates (r0, r1, c0, c1), half-open, and sets ``age``, the steps
-    taken since, to 0.  f has radius one, so a state grows by at most one
-    cell a step and both planes lie in span grown by age: ``grid``
-    tightens that region at hand-out, and ``tally`` and ``off_lattice``
-    read whole planes.  A layout starts from grids: a new one from the
-    planes' hand-outs.
+    the BinaryGrid it holds once one has been handed out.  A layout starts
+    from grids, a new one from the planes' hand-outs, and sets ``age``,
+    the steps taken since, to 0.  Its planes are grid.py's frame of the
+    grids with a room of _ROOM + 1 cells, so only grid.py lays out and
+    crops words.  f has radius one, so a state grows by at most one cell
+    a step and both planes lie in the grids' union grown by age: ``grid``
+    crops the plane rows of that union at hand-out, and ``tally`` and
+    ``off_lattice`` read whole planes.
 
-    Every layout spans ``span`` grown by a room of _ROOM + 1 cells, and by
-    up to 63 more columns so that its origin column is a multiple of 64
-    and words move whole between grids and planes.  The kernel writes all
-    plane rows but the first and the last, and needs the first and the
-    last bit of each row it reads empty, so a step is exact while f of the
-    current state, in span grown by age + 1, keeps off the planes' edge
-    rows (the columns have at least the rows' room): for age < _ROOM.
+    The kernel writes all plane rows but the first and the last, and
+    needs the first and the last bit of each row it reads empty, so a
+    step is exact while f of the current state, in the union grown by
+    age + 1, keeps off the planes' edge rows (the columns have at least
+    the rows' room): for age < _ROOM.
     The step at age _ROOM lays the planes out anew first.  f of an empty
     row is empty, so the kernel's views are fixed for a layout: the first
     step after one binds one call per plane role, both on one scratch
@@ -193,23 +187,17 @@ class _Planes:
         any plane is made when that union grown by ``reach`` spans more
         than ``MAX_PARSED_WINDOW`` cells."""
         self._calls: list[Callable[[], None]] = []  # and so their scratch
-        spans = [(i0, i1 + 1, j0, j1 + 1)
-                 for i0, i1, j0, j1 in (g.bounds() for g in grids if g)]
-        lo_i, hi_i, lo_j, hi_j = zip(*spans or [(0, 1, 0, 1)])
-        rows = max(hi_i) - min(lo_i) + 2 * reach
-        cols = max(hi_j) - min(lo_j) + 2 * reach
+        i0, i1, j0, j1 = zip(*[g.bounds() for g in grids if g] or [(0,) * 4])
+        rows = max(i1) - min(i0) + 1 + 2 * reach
+        cols = max(j1) - min(j0) + 1 + 2 * reach
         if rows * cols > MAX_PARSED_WINDOW:
             raise ValueError(f"a walk plane of {rows} x {cols} cells spans "
                              f"more than {MAX_PARSED_WINDOW} cells")
-        room = _ROOM + 1
-        i0, j0 = min(lo_i) - room, (min(lo_j) - room) & -64
-        self.span = (min(lo_i) - i0, max(hi_i) - i0,
-                     min(lo_j) - j0, max(hi_j) - j0)
-        shape = (self.span[1] + room, -(-(self.span[3] + room) // 64))
+        i0, j0, rows, words = _frame(grids, _ROOM + 1)
         self.origin, self.planes, self.age = (i0, j0), [], 0
         self.grids: list[BinaryGrid | None] = list(grids)
         for g in grids:
-            self.planes.append(np.zeros(shape, _WORD))
+            self.planes.append(np.zeros((rows, words), _WORD))
             _place(self.planes[-1], g, i0, j0)
 
     def step(self, rule: Rule) -> None:
@@ -241,12 +229,12 @@ class _Planes:
         return bool(bad.any() or coset and words[(i + par) & 1 == 1].any())
 
     def grid(self, k: int) -> BinaryGrid:
-        """Plane k as a BinaryGrid, made once: a copy of the words of span
-        grown by age (on the planes since age <= _ROOM), tightened."""
+        """Plane k as a BinaryGrid, made once: a copy of the words of its
+        tight box, found in the rows of the layout's union grown by age."""
         if self.grids[k] is None:
-            a, (r0, r1, c0, c1) = self.age, self.span
-            box = _tight_box(self.planes[k], r0 - a, r1 + a, c0 - a, c1 + a)
-            self.grids[k] = _crop(self.planes[k], *self.origin, box)
+            r, (i0, j0) = _ROOM + 1 - self.age, self.origin
+            self.grids[k] = _crop(self.planes[k][r:len(self.planes[k]) - r],
+                                  i0 + r, j0)
         return self.grids[k]
 
     def state(self) -> SecondOrderState:

@@ -161,25 +161,29 @@ MUTANTS = [
     Mutant("a walk whose age never advances", "revca/rules.py",
            "        self.age += 1\n", "", "test_rules.py"),
     Mutant("a plane's box not grown by the walk's age", "revca/rules.py",
-           "self.planes[k], r0 - a, r1 + a, c0 - a, c1 + a)",
-           "self.planes[k], r0, r1, c0, c1)", "test_rules.py"),
-    Mutant("grid(k) cropping the grown span untightened", "revca/rules.py",
-           "_crop(self.planes[k], *self.origin, box)",
-           "_crop(self.planes[k], *self.origin,\n"
-           "                                  box and (r0 - a, r1 + a, c0 - a, "
-           "c1 + a))", "test_rules.py"),
-    Mutant("a plane origin that is not a multiple of 64", "revca/rules.py",
-           "(min(lo_j) - room) & -64", "(min(lo_j) - room) & -32",
+           "r, (i0, j0) = _ROOM + 1 - self.age, self.origin",
+           "r, (i0, j0) = _ROOM + 1, self.origin", "test_rules.py"),
+    Mutant("grid(k) handing out the grown rows untightened", "revca/rules.py",
+           "_crop(self.planes[k][r:len(self.planes[k]) - r],\n"
+           "                                  i0 + r, j0)",
+           "BinaryGrid._tight(\n"
+           "                self.planes[k][r:len(self.planes[k]) - r].copy(), "
+           "i0 + r, j0,\n                64 * self.planes[k].shape[1])",
            "test_rules.py"),
+    Mutant("a frame origin that is not a multiple of 64", "revca/grid.py",
+           "- room) & -64", "- room) & -32", "test_rules.py"),
     Mutant("the layout's column origin off by one", "revca/rules.py",
            "self.origin, self.planes, self.age = (i0, j0), [], 0",
            "self.origin, self.planes, self.age = (i0, j0 + 1), [], 0",
            "test_rules.py"),
     Mutant("a layout's row room cut by one", "revca/rules.py",
-           "min(lo_i) - room,", "min(lo_i) - room + 1,", "test_rules.py"),
+           "np.zeros((rows, words), _WORD)", "np.zeros((rows - 1, words), _WORD)",
+           "test_rules.py"),
     Mutant("the layout's column room cut by one word", "revca/rules.py",
-           "-(-(self.span[3] + room) // 64))",
-           "-(-(self.span[3] + room) // 64) - 1)", "test_rules.py"),
+           "np.zeros((rows, words), _WORD)", "np.zeros((rows, words - 1), _WORD)",
+           "test_rules.py"),
+    Mutant("first_order_step's frame room cut to 1", "revca/rules.py",
+           "_frame([g], 2)", "_frame([g], 1)", "test_rules.py"),
     Mutant("a product's shifted copy without its carry words",
            "revca/grid.py",
            "                    t[1:] |= b[:len(t) - 1] >> np.uint64(64 - s)\n",
@@ -190,8 +194,13 @@ MUTANTS = [
            "o = r * n + q", "o = r * (n - 1) + q", "test_poly.py"),
     Mutant("a product's first shifted copy reused for every column",
            "revca/grid.py", "if c != last:", "if last < 0:", "test_poly.py"),
+    # both keep every copy inside the flat product on the tests' e = 1
+    # example, so a wrong product kills them, not numpy's broadcast error
     Mutant("a product's one-word-down shift ignored", "revca/grid.py",
-           "o = r * n + q + 1 - e", "o = r * n + q + 1", "test_poly.py"),
+           "e = (jmin >> 6) - (small._jmin >> 6) - (big._jmin >> 6)", "e = 0",
+           "test_poly.py"),
+    Mutant("a product's copy one word up", "revca/grid.py",
+           "o = r * n + q + 1 - e", "o = r * n + q - e", "test_poly.py"),
     Mutant("pow_2k's slice one word off", "revca/grid.py",
            "words[:, skip:skip + n]", "words[:, skip + 1:skip + 1 + n]",
            "test_poly.py"),
@@ -200,8 +209,12 @@ MUTANTS = [
            "np.pad(a, ((0, 0), (s + 1, -(s + w + 1) % 64)))", "test_grid.py"),
     Mutant("shift's carry word dropped", "revca/grid.py",
            "        t[:, 1:] |= w >> (np.uint64(64) - u)\n", "", "test_grid.py"),
-    Mutant("_tight_box's bottom row off by one", "revca/grid.py",
-           "r0 + int(live[-1]) + 1", "r0 + int(live[-1])", "test_rules.py"),
+    Mutant("_crop's bottom row off by one", "revca/grid.py",
+           "int(live[0]), int(live[-1]) + 1", "int(live[0]), int(live[-1])",
+           "test_rules.py"),
+    Mutant("_crop keeping a non-tight array", "revca/grid.py",
+           "words = p[r0:r1, wa:wb + 1]",
+           "words = p if keep else p[r0:r1, wa:wb + 1]", "test_grid.py"),
     Mutant("the render value window clipped one row short",
            "revca/render.py", "min(jmax, n)", "min(jmax, n - 1)",
            "test_render.py"),
@@ -225,17 +238,11 @@ MUTANTS = [
 # can observe: none is run, but each one's text is checked as a mutant's
 # is, so a refactor cannot retire it silently
 EQUIVALENT = [
-    (Mutant("the layout's column room cut by one on the left",
-            "revca/rules.py", "(min(lo_j) - room) & -64",
-            "(min(lo_j) - room + 1) & -64", "test_rules.py"),
-     "_ROOM columns keep bit 0 of every row empty through age _ROOM - 1, "
-     "the last step of a layout; only the rows need _ROOM + 1, because "
-     "the kernel writes inner rows only"),
-    (Mutant("the layout's column room grown by one on the left",
-            "revca/rules.py", "(min(lo_j) - room) & -64",
-            "(min(lo_j) - room - 1) & -64", "test_rules.py"),
+    (Mutant("a frame's column room grown by one on the left",
+            "revca/grid.py", "- room) & -64", "- room - 1) & -64",
+            "test_rules.py"),
      "rounding the origin column down to a multiple of 64 undoes it or "
-     "leaves one more word"),
+     "leaves one more empty word, which every crop drops"),
     # perf-only variants: the same outputs, timed in one process that
     # alternates fresh imports of both trees (medians of 8-10 rounds)
     (Mutant("a product's outer factor chosen by word count",

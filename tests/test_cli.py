@@ -358,6 +358,16 @@ def test_zero_steps_of_a_state_wider_than_a_plane(tmp_path, capsys):
     assert code == 0 and out == "n=0 R1=1 R2=1 R3=0 R=2\n"
 
 
+def test_zero_steps_of_states_far_apart_make_no_union(tmp_path, capsys):
+    # R3 counts the words the two boxes share, here none: no window over
+    # their union, 2^62 columns wide, is made
+    st = tmp_path / "state.txt"
+    st.write_text(f"#bgrid v1 count=1\n0 0\n#bgrid v1 count=1\n0 {2**62}\n")
+    code, out, _ = run(capsys, "simulate", "--rule", "R3", "--steps", "0",
+                       "--load", str(st))
+    assert code == 0 and out == "n=0 R1=1 R2=1 R3=0 R=2\n"
+
+
 def test_state_files_with_blank_lines_load(tmp_path, capsys):
     # blank lines before, between and after the blocks start no block
     s = evolve(Rule.C2, single_seed(), 5)

@@ -44,7 +44,7 @@ def test_count_values_examples():
     assert count_values(s1, 1) == (1, 4, 1, 0, 5)
 
 
-@given(grids, grids, st.integers(-20, 20), st.integers(-20, 20),
+@given(any_grids, any_grids, st.integers(-20, 20), st.integers(-20, 20),
        st.booleans())
 @example(BinaryGrid([(0, 0), (3, 3)]), BinaryGrid([(9, 9)]), 0, 0, False)
 @example(BinaryGrid([(0, 0), (3, 3)]), BinaryGrid([(1, 1), (2, 2)]), 0, 0,

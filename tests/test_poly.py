@@ -9,8 +9,10 @@ from revca.gf2poly import (ONE, ZERO, IndexOutOfRangeError, LaurentPoly2,
                            fib_poly_eval, fib_poly_naive, grid_to_poly,
                            lucas_poly_eval, poly_from_text, poly_to_grid,
                            poly_to_text, state_poly_at, transition_poly)
-from revca.grid import BinaryGrid, count_values, single_seed
+from revca.grid import (EMPTY, BinaryGrid, count_values, diagonal_embed,
+                        single_seed)
 from revca.rules import Rule, first_order_step
+from revca.sequences import SeqId, seq_value_alt
 
 X = LaurentPoly2([(1, 0)])
 XR = LaurentPoly2([(-1, 0), (1, 0)])  # x^-1 + x
@@ -71,6 +73,10 @@ def test_freshmans_dream(p, q):
     assert (p + q).square() == p.square() + q.square()
 
 
+# columns 100 + 30 of the product's corner lie one word above the factors'
+# (e = 1): each shifted copy lands one word down, none of them at -1
+@example(LaurentPoly2([(0, 100), (1, 40)]),
+         LaurentPoly2([(0, 30), (2, 31), (1, 35)]), 0)
 # T^8 has fewer terms than a dense 5x5 pattern but more words; a factor
 # whose columns end at bit 63 of a word makes the product's rows one word
 # wider, filled by the carries of the shifted copies
@@ -304,6 +310,32 @@ def _mod2(a):
 
 
 T_VAR = LaurentPoly2([(1, 0)])  # symbolic one-variable t
+
+
+_T1, _G = transition_poly(Rule.C1), BinaryGrid([(0, 0)])
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: fib_poly_naive(_T1, -1), ValueError("k must be nonnegative")),
+    (lambda: fib_poly_eval(_T1, -1), ValueError("k must be nonnegative")),
+    (lambda: lucas_poly_eval(_T1, -1), ValueError("k must be nonnegative")),
+    (lambda: _G.pow_2k(-1), ValueError("k must be nonnegative")),
+    (lambda: EMPTY.bounds(), ValueError("empty grid has no bounds")),
+    (lambda: (_G.__eq__(1), _G == 1), (NotImplemented, False)),
+    (lambda: diagonal_embed(_G, "diag"),
+     ValueError("parity must be 'even' or 'odd', got 'diag'")),
+    (lambda: seq_value_alt(SeqId.R1, -1),
+     IndexOutOfRangeError("alt recursion needs n >= 0, got -1")),
+], ids=["fib_poly_naive", "fib_poly_eval", "lucas_poly_eval", "pow_2k",
+        "empty_bounds", "eq_other_type", "diagonal_embed", "seq_value_alt"])
+def test_input_checks(call, want):
+    # each check's exact error type and message, or its value
+    if isinstance(want, Exception):
+        with pytest.raises(Exception) as e:
+            call()
+        assert (type(e.value), str(e.value)) == (type(want), str(want))
+    else:
+        assert call() == want
 
 
 @pytest.mark.parametrize("k", range(1, 13))

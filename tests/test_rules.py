@@ -293,12 +293,24 @@ def test_walks_are_refused_by_one_guard(step_fn):
                                         (16, first_order_step),
                                         (40, first_order_step),
                                         (16, dense_step)])
-def test_every_layout_has_the_same_room(n, step_fn):
-    room = rules._ROOM + 1
-    for planes in _walk(Rule.C3p, n, WIDE, step_fn):
-        (r0, r1, c0, c1), (rows, words) = planes.span, planes.planes[0].shape
-        assert (r0, rows - r1) == (room, room)
-        assert room <= c0 < room + 64 and 64 * words - c1 >= room
+def test_every_layout_has_the_same_room(monkeypatch, n, step_fn):
+    # each layout's planes, against the union of the grids it starts from
+    room, lay_out, layouts = rules._ROOM + 1, rules._Planes._lay_out, []
+
+    def spy(planes, grids, reach=0):
+        lay_out(planes, grids, reach)
+        layouts.append((grids, planes.origin, planes.planes[0].shape))
+
+    monkeypatch.setattr(rules._Planes, "_lay_out", spy)
+    for _ in _walk(Rule.C3p, n, WIDE, step_fn):
+        pass
+    assert len(layouts) == (n + 1 if step_fn is dense_step
+                            else 1 + (n - 1) // rules._ROOM)
+    for grids, (r0, c0), (rows, words) in layouts:
+        i0, i1, j0, j1 = zip(*[g.bounds() for g in grids if g])
+        assert (min(i0) - r0, r0 + rows - 1 - max(i1)) == (room, room)
+        assert room <= min(j0) - c0 < room + 64
+        assert c0 + 64 * words - 1 - max(j1) >= room
 
 
 @pytest.mark.parametrize("step_fn", [first_order_step, dense_step])
