@@ -7,13 +7,14 @@ and walk plane has one column-to-bit map: column j is bit j & 63 of word
 (j >> 6) - (jmin >> 6), every bit outside jmin..jmax is 0, and jmin and
 the column count are exact.  The layout is canonical, so equality and
 hashing compare words; xor, crops and placement move whole words, and
-bits move only where cells move, in ``shift``, ``from_window`` and
-products.  Only this module frames and crops word arrays: ``_frame``
+bits move only in products and ``from_window``'s pad (``shift`` is a
+product).  Only this module frames and crops word arrays: ``_frame``
 gives the origin and shape of the words over a union of boxes grown by
 a room, for xor, a rule step and a walk's planes, and ``_crop`` finds
-the tight box of an array's set bits.  Cells are read off the nonzero
-words.  ``window`` unpacks a dense 0/1 array, for the renderer, the
-diamond check and tests.
+the tight box of an array's set bits; ``_refuse`` is the one size
+check, in exact integers, of a walk's start and a parsed block.  Cells
+are read off the nonzero words.  ``window`` unpacks a dense 0/1 array,
+for the renderer, the diamond check and tests.
 
 The same set is a GF(2) Laurent polynomial in x, y: cell (i, j) is the
 monomial x^i y^j.  ``+`` is xor, ``*`` is the mod-2 product and
@@ -281,17 +282,34 @@ def _place(p: np.ndarray, g: BinaryGrid, i0: int, j0: int) -> None:
     p[r:r + len(g._w), q:q + g._w.shape[1]] ^= g._w
 
 
-def _frame(grids: list[BinaryGrid], room: int) -> tuple[int, int, int, int]:
+#: largest box, in cells, of a parsed block or of a walk's start grown by
+#: its reach: 2^28 cells are 32 MiB of words
+MAX_PARSED_WINDOW = 1 << 28
+
+
+def _refuse(cells: int, what: str) -> None:
+    """ValueError when ``what``, a box of ``cells`` cells, is too large."""
+    if cells > MAX_PARSED_WINDOW:
+        raise ValueError(f"{what} spans more than {MAX_PARSED_WINDOW} cells")
+
+
+def _frame(grids: list[BinaryGrid], room: int,
+           reach: int | None = None) -> tuple[int, int, int, int]:
     """(i0, j0, rows, words) of the word array over the union of the
     nonempty grids' boxes, or of the cell (0, 0) when there are none, grown
     by ``room`` cells on every side: bit 0 of its row 0 is the cell
     (i0, j0), and j0 is a multiple of 64, so words move whole to and from
-    every grid.  xor, a rule step and a walk's planes all frame here."""
+    every grid.  xor, a rule step and a walk's planes all frame here; a
+    walk's union, grown by its ``reach``, is refused first when too large."""
     i0, i1, j0, j1 = zip(*[(g._imin, g._imin + len(g._w), g._jmin,
                             g._jmin + g._ncols) for g in grids if g._w.size]
                          or [(0, 1, 0, 1)])
-    i0, j0 = min(i0) - room, (min(j0) - room) & -64
-    return i0, j0, max(i1) + room - i0, ((max(j1) + room - 1 - j0) >> 6) + 1
+    i0, i1, j0, j1 = min(i0), max(i1), min(j0), max(j1)
+    if reach is not None:
+        rows, cols = i1 - i0 + 2 * reach, j1 - j0 + 2 * reach
+        _refuse(rows * cols, f"a walk plane of {rows} x {cols} cells")
+    i0, j0 = i0 - room, (j0 - room) & -64
+    return i0, j0, i1 + room - i0, ((j1 + room - 1 - j0) >> 6) + 1
 
 
 def _crop(p: np.ndarray, i0: int, j0: int, keep: bool = False) -> BinaryGrid:
@@ -332,17 +350,9 @@ def xor(a: BinaryGrid, b: BinaryGrid) -> BinaryGrid:
 
 
 def shift(g: BinaryGrid, dx: int, dy: int) -> BinaryGrid:
-    """Translate every cell (i, j) to (i + dx, j + dy): the same words, or
-    when jmin's bit moves by s, their bits moved by s, carried across words."""
-    if not g:
-        return g
-    jmin, w = g._jmin + dy, g._w
-    if s := (jmin & 63) - (g._jmin & 63):  # down by -s: a word less, up 64 + s
-        t, u = np.zeros((len(w), w.shape[1] + 1), _WORD), np.uint64(s & 63)
-        t[:, :-1] = w << u
-        t[:, 1:] |= w >> (np.uint64(64) - u)
-        w = t[:, int(s < 0):][:, :_nwords(jmin, g._ncols)].copy()
-    return BinaryGrid._tight(w, g._imin + dx, jmin, g._ncols)
+    """Translate every cell (i, j) to (i + dx, j + dy): the product with
+    the monomial x^dx y^dy, whose one word holds bit dy & 63."""
+    return g * BinaryGrid._tight(np.array([[1 << (dy & 63)]], _WORD), dx, dy, 1)
 
 
 def diagonal_embed(g: BinaryGrid, parity: str = "even") -> BinaryGrid:
@@ -452,11 +462,6 @@ def _to_text(g: BinaryGrid, tag: str, key: str) -> str:
     return "".join(out)
 
 
-#: largest bounding box, in cells, of a parsed block, or of a walk's start
-#: box grown by its reach: 2^28 cells are 32 MiB of words
-MAX_PARSED_WINDOW = 1 << 28
-
-
 def _from_text(text: str, tag: str, key: str) -> BinaryGrid:
     """Strict parser: ValueError on any malformed header or cell line."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -474,10 +479,9 @@ def _from_text(text: str, tag: str, key: str) -> BinaryGrid:
     except (ValueError, OverflowError):
         raise ValueError(f"malformed '{tag} v1' block: {key} must be an "
                          f"integer and each line two integers 'i j'") from None
-    area = np.prod(np.ptp(ij.astype(float), axis=0) + 1) if len(ij) else 0
-    if area > MAX_PARSED_WINDOW:
-        raise ValueError(f"'{tag} v1' block spans more than "
-                         f"{MAX_PARSED_WINDOW} cells")
+    if len(ij):  # the exact span, before any word is allocated
+        (i0, j0), (i1, j1) = ij.min(axis=0).tolist(), ij.max(axis=0).tolist()
+        _refuse((i1 - i0 + 1) * (j1 - j0 + 1), f"'{tag} v1' block")
     g = BinaryGrid.from_index_arrays(ij[:, 0], ij[:, 1])
     if not declared == len(body) == len(g):
         raise ValueError(f"header {key}={declared} but {len(body)} lines "

@@ -182,18 +182,11 @@ class _Planes:
         self._lay_out([s.current, s.previous], reach)
 
     def _lay_out(self, grids: list[BinaryGrid], reach: int = 0) -> None:
-        """Both planes anew, plane k holding grids[k], over the union of
-        the grids' boxes grown by the room, refused with ValueError before
-        any plane is made when that union grown by ``reach`` spans more
-        than ``MAX_PARSED_WINDOW`` cells."""
+        """Both planes anew, plane k holding grids[k], over grid.py's frame
+        of the grids with a room of _ROOM + 1 cells; the frame first refuses
+        (ValueError) a union that grown by ``reach`` is too large."""
         self._calls: list[Callable[[], None]] = []  # and so their scratch
-        i0, i1, j0, j1 = zip(*[g.bounds() for g in grids if g] or [(0,) * 4])
-        rows = max(i1) - min(i0) + 1 + 2 * reach
-        cols = max(j1) - min(j0) + 1 + 2 * reach
-        if rows * cols > MAX_PARSED_WINDOW:
-            raise ValueError(f"a walk plane of {rows} x {cols} cells spans "
-                             f"more than {MAX_PARSED_WINDOW} cells")
-        i0, j0, rows, words = _frame(grids, _ROOM + 1)
+        i0, j0, rows, words = _frame(grids, _ROOM + 1, reach)
         self.origin, self.planes, self.age = (i0, j0), [], 0
         self.grids: list[BinaryGrid | None] = list(grids)
         for g in grids:

@@ -207,8 +207,6 @@ MUTANTS = [
     Mutant("from_window's pad one bit off", "revca/grid.py",
            "np.pad(a, ((0, 0), (s, -(s + w) % 64)))",
            "np.pad(a, ((0, 0), (s + 1, -(s + w + 1) % 64)))", "test_grid.py"),
-    Mutant("shift's carry word dropped", "revca/grid.py",
-           "        t[:, 1:] |= w >> (np.uint64(64) - u)\n", "", "test_grid.py"),
     Mutant("_crop's bottom row off by one", "revca/grid.py",
            "int(live[0]), int(live[-1]) + 1", "int(live[0]), int(live[-1])",
            "test_rules.py"),
@@ -228,6 +226,12 @@ MUTANTS = [
            "rank = np.arange(len(union))", "test_grid.py"),
     Mutant("_to_text's row block one row short", "revca/grid.py",
            "g._w[r0:r0 + step]", "g._w[r0:r0 + step - 1]", "test_grid.py"),
+    Mutant("the writer's row labels counted back from each row block",
+           "revca/grid.py", "str(g._imin + r0 + r)", "str(g._imin - r0 + r)",
+           "test_grid.py"),
+    Mutant("a box of exactly MAX_PARSED_WINDOW cells refused",
+           "revca/grid.py", "if cells > MAX_PARSED_WINDOW:",
+           "if cells >= MAX_PARSED_WINDOW:", "test_rules.py"),
     # equal outputs: only the writer's memory bound can kill it
     Mutant("the writer decodes the whole grid at once", "revca/grid.py",
            "step = max(1, 4096 // max(g._w.shape[1], 1))",

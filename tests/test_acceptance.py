@@ -132,9 +132,10 @@ def test_criterion_09_five_pattern_structure():
         for j in range(1, d + 1):
             fj = fib_poly_eval(T, j)
             central = fib_poly_eval(T, d - j)
-            parts = [fj.shift_exponents(sx * d, sy * d)
-                     for sx in (-1, 1) for sy in (-1, 1)] + [central]
-            union = frozenset().union(*(p.support for p in parts))
+            # the four outer copies of f_j translated cell by cell
+            parts = [frozenset((a + sx * d, b + sy * d) for a, b in fj.support)
+                     for sx in (-1, 1) for sy in (-1, 1)] + [central.support]
+            union = frozenset().union(*parts)
             assert sum(len(p) for p in parts) == len(union)
             assert union == fib_poly_eval(T, d + j).support
             assert len(union) == 4 * seq_value(SeqId.R2, j) + \

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from oracle import cell_text, dense_step
 from revca.gf2poly import poly_from_text, poly_to_text, state_poly_at
-from revca.grid import (EMPTY, BinaryGrid, MixedParityError,
-                        SecondOrderState, count_values, diagonal_embed,
-                        diagonal_extract, grid_from_text, grid_to_text, shift,
-                        single_seed, swap_x, xor)
+from revca.grid import (EMPTY, MAX_PARSED_WINDOW, BinaryGrid,
+                        MixedParityError, SecondOrderState, count_values,
+                        diagonal_embed, diagonal_extract, grid_from_text,
+                        grid_to_text, shift, single_seed, swap_x, xor)
 from revca.render import render
 from revca.rules import (Rule, evolve, first_order_step, second_order_step,
                          trajectory)
@@ -315,6 +315,9 @@ far = st.integers(-2**40, 2**40)
          (grid_to_text, grid_from_text, "#bgrid", "count"))
 @example(BinaryGrid([(i, 3) for i in (-5, 0, 1, 9)]), 2**40, -2**40,
          (poly_to_text, poly_from_text, "#lpoly", "terms"))
+# one word wide and taller than the writer's row block of 4096 rows
+@example(BinaryGrid([(i, i % 7) for i in range(5000)]), 0, 0,
+         (grid_to_text, grid_from_text, "#bgrid", "count"))
 def test_writer_matches_cell_oracle(g, di, dj, fmt):
     # the row-by-row writer gives the per-cell writer's bytes, near the
     # origin and far from it, and the strict parser reads them back
@@ -323,6 +326,21 @@ def test_writer_matches_cell_oracle(g, di, dj, fmt):
         text = to_text(h)
         assert text == cell_text(h, tag, key)
         assert from_text(text) == h
+
+
+@pytest.mark.parametrize("j0", [1, 2**60 + 1])
+def test_parsed_block_spans_are_exact(j0):
+    # 2^28 columns parse wherever they lie (32 MiB of words); one more
+    # column is refused, in both formats
+    text = f"#bgrid v1 count=2\n0 {j0}\n0 {j0 + MAX_PARSED_WINDOW - 1}\n"
+    assert grid_from_text(text).bounds() == (0, 0, j0,
+                                             j0 + MAX_PARSED_WINDOW - 1)
+    for from_text, tag, key in ((grid_from_text, "#bgrid", "count"),
+                                (poly_from_text, "#lpoly", "terms")):
+        with pytest.raises(ValueError, match=f"^'{tag} v1' block spans more "
+                           f"than 268435456 cells$"):
+            from_text(f"{tag} v1 {key}=2\n0 {j0}\n"
+                      f"0 {j0 + MAX_PARSED_WINDOW}\n")
 
 
 @given(any_grids)

@@ -289,6 +289,17 @@ def test_walks_are_refused_by_one_guard(step_fn):
         next(_walk(Rule.C2, rules.MAX_SEED_STEPS + 1, single_seed(), step_fn))
 
 
+def test_a_walk_start_of_exactly_the_limit_is_laid_out():
+    # reach 1 grows the 16382 x 16382 box to 16384^2 = 2^28 cells, which
+    # is laid out (two planes of ~34 MiB); one more column is refused
+    start = SecondOrderState(BinaryGrid([(0, 0), (16381, 16381)]), EMPTY)
+    assert next(_walk(Rule.C2, 0, start, first_order_step)).state() == start
+    wider = SecondOrderState(BinaryGrid([(0, 0), (16381, 16382)]), EMPTY)
+    with pytest.raises(ValueError, match=r"^a walk plane of 16384 x 16385 "
+                       r"cells spans more than 268435456 cells$"):
+        next(_walk(Rule.C2, 0, wider, first_order_step))
+
+
 @pytest.mark.parametrize("n, step_fn", [(1, first_order_step),
                                         (16, first_order_step),
                                         (40, first_order_step),
